@@ -44,6 +44,7 @@ import sys
 import time
 
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.cost import CostModel
 from repro.workloads import load_benchmark
@@ -54,8 +55,6 @@ POLICIES = (
     ("fifo", ("fifo", False)),
     ("adaptive", ("fifo", True)),
 )
-
-ENGINES = ("tuple", "closure", "chain")
 
 FULL_WORKLOADS = ("crafty", "vpr", "gzip", "mcf", "mgrid")
 QUICK_WORKLOADS = ("crafty", "mgrid")
@@ -72,8 +71,7 @@ def _options(policy_key, engine, limit):
     options.code_cache_limit = limit
     options.cache_evict_policy = policy
     options.cache_adaptive = adaptive
-    options.closure_engine = engine in ("closure", "chain")
-    options.chain_engine = engine == "chain"
+    options.engine = engine
     return options
 
 

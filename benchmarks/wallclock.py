@@ -3,9 +3,9 @@
 
 Runs the tier-2 workload sweep through every execution engine of each
 executor — the interpreter (``engine="closure"`` / ``engine="tuple"``)
-and the DynamoRIO runtime (``options.closure_engine``, plus the chain
-compiler behind ``options.chain_engine``) — timing host seconds while
-asserting the *simulated* results (cycles, instructions, output) are
+and the DynamoRIO runtime (``options.engine``, one of ``"tuple"``,
+``"closure"`` and ``"chain"``) — timing host seconds while asserting
+the *simulated* results (cycles, instructions, output) are
 bit-identical across engines.  Simulated numbers measure the machine
 being modelled; host seconds measure this Python implementation.  Only
 the latter may change between engines.
@@ -67,8 +67,7 @@ def _run_once(image, config, kind, engine):
         elapsed = time.perf_counter() - start
     else:
         options = OPTION_FACTORIES[config]()
-        options.closure_engine = engine in ("closure", "chain")
-        options.chain_engine = engine == "chain"
+        options.engine = engine
         runtime = DynamoRIO(process, options=options, cost_model=CostModel())
         start = time.perf_counter()
         result = runtime.run()

@@ -19,13 +19,14 @@ code until the next exit, exactly the paper's replacement semantics.
 
 Two interchangeable engines drive the op stream:
 
-* the **closure engine** (default, ``options.closure_engine=True``)
+* the **closure engine** (default, ``options.engine="closure"``)
   runs the fragment's closure-compiled step table
   (:mod:`repro.core.closures`) — each step has its operand accessors,
   costs and link stubs pre-bound, so the loop is just
   ``i = steps[i](self, cpu)``;
-* the **tuple engine** interprets the lowered op tuples directly
-  (:meth:`Executor._run_ops`), kept as the regression reference.
+* the **tuple engine** (``options.engine="tuple"``) interprets the
+  lowered op tuples directly (:meth:`Executor._run_ops`), kept as the
+  regression reference.
 
 Both charge cycles and update stats identically; the determinism tests
 assert bit-identical results across engines.
@@ -194,7 +195,7 @@ class Executor:
         counter = runtime.counter
         cost = runtime.cost
         fragment_entry = cost.fragment_entry
-        use_closures = runtime.options.closure_engine
+        use_closures = runtime.options.engine != "tuple"
         # drtrace profiler: sampled at fragment-pass granularity only
         # (one guard per pass, never per instruction) so the simulated
         # cycle stream is identical with tracing on or off.  Gated on

@@ -4,6 +4,9 @@ The five presets reproduce the rows of the paper's Table 1: each adds
 one mechanism to the previous configuration.
 """
 
+# The values of RuntimeOptions.engine, slowest first.
+ENGINES = ("tuple", "closure", "chain")
+
 
 class RuntimeOptions:
     """All runtime knobs; instances are plain mutable objects."""
@@ -22,8 +25,7 @@ class RuntimeOptions:
         sideline_optimization=False,
         verify_fragments=False,
         verify_equivalence=False,
-        closure_engine=True,
-        chain_engine=False,
+        engine="closure",
         chain_threshold=20,
         chain_max_fragments=16,
         trace_events=False,
@@ -90,22 +92,19 @@ class RuntimeOptions:
         # erasure is safe.  Costs zero simulated cycles; off by default
         # so the emit path stays a single attribute check.
         self.verify_equivalence = verify_equivalence
-        # Execution engine: True drives fragments through their
-        # closure-compiled step tables (repro.core.closures); False
-        # falls back to interpreting the lowered op tuples.  Both
-        # produce bit-identical simulated results; only host wall-clock
-        # time differs.
-        self.closure_engine = closure_engine
-        # Chain compiler ("second-tier JIT", repro.core.chains): after
+        # Execution engine, one of ENGINES.  "closure" (the default)
+        # drives fragments through their closure-compiled step tables
+        # (repro.core.closures); "tuple" interprets the lowered op
+        # tuples, kept as the differential reference.  "chain" adds the
+        # chain compiler ("second-tier JIT", repro.core.chains): after
         # chain_threshold executions, a fragment whose direct exits are
         # linked is stitched together with its linked successors into
         # one flat step super-table — hot linked chains then run
         # without returning to Executor.run between fragments, and
         # indirect branches resolve through an in-step IBL fast path.
         # Wall-clock only: simulated cycles, stats, and events are
-        # bit-identical to both existing engines.  Requires
-        # closure_engine; off by default.
-        self.chain_engine = chain_engine
+        # bit-identical across all three.
+        self.engine = engine
         self.chain_threshold = chain_threshold
         self.chain_max_fragments = chain_max_fragments
         # Observability (repro.observe): record typed runtime events

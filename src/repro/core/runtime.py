@@ -23,7 +23,7 @@ from repro.core.code_cache import CacheFullError, CodeRegionMap
 from repro.core.emit import emit_fragment
 from repro.core.execute import EXIT_INTERRUPT, Executor
 from repro.core.fragments import Fragment, LinkStub
-from repro.core.options import RuntimeOptions
+from repro.core.options import ENGINES, RuntimeOptions
 from repro.core.stats import RuntimeStats
 from repro.core.threads import ThreadContext
 from repro.core.trace_builder import (
@@ -67,6 +67,12 @@ class DynamoRIO:
         self.process = process
         self.memory = process.memory
         self.options = options if options is not None else RuntimeOptions.default()
+        if self.options.engine not in ENGINES:
+            raise ValueError("unknown engine %r" % (self.options.engine,))
+        if self.options.cache_evict_policy not in ("flush", "fifo"):
+            raise ValueError(
+                "unknown cache_evict_policy %r" % (self.options.cache_evict_policy,)
+            )
         self.client = client
         self.cost = cost_model if cost_model is not None else CostModel()
         self.system = System()
@@ -93,11 +99,9 @@ class DynamoRIO:
         # Chain compiler ("second-tier JIT", repro.core.chains):
         # stitches hot linked fragments' step tables into dispatch-free
         # super-tables.  Wall-clock only — cycles/stats/events stay
-        # bit-identical — and meaningless without the closure engine.
+        # bit-identical.
         self.chains = (
-            ChainManager(self)
-            if (self.options.chain_engine and self.options.closure_engine)
-            else None
+            ChainManager(self) if self.options.engine == "chain" else None
         )
         # drguard: None unless guarding is enabled — every hook site
         # checks the pointer once, exactly like the observer.

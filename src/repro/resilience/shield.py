@@ -467,7 +467,7 @@ class RuntimeGuard:
         options = runtime.options
         if subsystem == "chains":
             runtime.chains = None
-            options.chain_engine = False
+            options.engine = "closure"
         elif subsystem == "traces":
             options.traces = False
             for thread in runtime.threads:

@@ -32,12 +32,12 @@ Exit status is non-zero if any run violates the contract.
 import argparse
 
 from repro.asm import CodeBuilder, mem
-from repro.core import DynamoRIO, RuntimeOptions
+from repro.core import RuntimeOptions
+from repro.core.options import ENGINES
 from repro.isa.registers import Reg
 from repro.loader import Process
 from repro.machine.interp import run_native
 from repro.minicc import compile_source
-from repro.observe.events import replay_stats
 from repro.resilience.faultinject import (
     FAULT_KINDS,
     RUNTIME_FAULT_KINDS,
@@ -45,6 +45,7 @@ from repro.resilience.faultinject import (
     FaultPlan,
     RuntimeFaultPlan,
 )
+from repro.tools import matrix
 from repro.tools.run import CLIENTS
 
 # ------------------------------------------------------------------ workloads
@@ -173,15 +174,15 @@ def workload_images():
 SMALL_CLIENTS = ("rlr", "inc2add", "ctrace")
 FULL_CLIENTS = ("rlr", "inc2add", "ctrace", "ibdisp", "null")
 
-# Fault kind -> workloads that exercise it.  mid_trace_signal and
-# mid_fragment_signal need a signal-delivering program; smc_write needs
-# the self-modifying one.
-def fault_workloads(kind, matrix):
+# Fault kind (client or runtime) -> workloads that exercise it.
+# mid_trace_signal and mid_fragment_signal need a signal-delivering
+# program; smc_write needs the self-modifying one.
+def fault_workloads(kind, size):
     if kind in ("mid_trace_signal", "mid_fragment_signal"):
         return ("signal",)
     if kind == "smc_write":
         return ("smc",)
-    if matrix == "small":
+    if size == "small":
         return ("loop", "indirect")
     return ("loop", "indirect", "signal")
 
@@ -206,9 +207,76 @@ EXPECTED_EVENTS = {
 DETACH_KINDS = ("detach", "reattach", "mid_fragment_signal")
 
 
-# ------------------------------------------------- drshield matrix (--runtime)
+def client_options(fault_kind, engine):
+    options = RuntimeOptions(
+        engine=engine,
+        guard_clients=True,
+        client_fault_limit=3,
+        client_hook_budget=200000,
+        cache_consistency=True,
+        verify_fragments=True,
+        verify_equivalence=True,
+        trace_events=True,
+        trace_buffer=None,
+    )
+    if fault_kind in ("mid_trace_signal", "smc_write"):
+        # Make traces (and therefore trace hooks / stitched-span
+        # invalidation) happen early in these short programs.
+        options.trace_threshold = 3
+    if fault_kind in DETACH_KINDS:
+        options.precise_interrupts = True
+    return options
 
-RUNTIME_ENGINES = ("tuple", "closure", "chain")
+
+def fault_exercised(runtime, result):
+    """The injected fault fired and was caught where its kind says."""
+    client = runtime.client
+    kind = client.plan.kind
+    problems = matrix.events_fired(*EXPECTED_EVENTS[kind])(runtime, result)
+    if kind not in ("smc_write", "mid_fragment_signal") and not client.injected:
+        problems.append("fault plan never fired")
+    # The point of mid_fragment_signal: at least one alarm must have
+    # been taken *inside* a fragment via the translation table, not at
+    # a fragment boundary.
+    if kind == "mid_fragment_signal" and not any(
+        ev.kind == "signal_delivered" and ev.data.get("mid_fragment")
+        for ev in runtime.observer.events()
+    ):
+        problems.append("no mid-fragment signal delivery")
+    # drequiv negative control: these faults corrupt instruction lists
+    # semantically, so beyond the guard's dynamic bailout the
+    # equivalence rule must have flagged them *statically* at emit.
+    if kind in ("corrupt_instrlist", "cache_poison") and client.injected and not any(
+        d.is_error and d.rule == "equivalence"
+        for d in runtime.verifier_diagnostics
+    ):
+        problems.append(
+            "injected %s was never flagged by the equivalence rule" % kind
+        )
+    return problems
+
+
+def client_cell(image, workload, client_name, fault_kind, seed, engine):
+    return matrix.Cell(
+        "%-16s %-8s %-7s seed=%d %s"
+        % (fault_kind, workload, client_name, seed, engine),
+        image,
+        client_options(fault_kind, engine),
+        client=lambda: FaultInjectingClient(
+            FaultPlan(fault_kind, seed), inner=CLIENTS[client_name]()
+        ),
+        oracles=(fault_exercised,),
+    )
+
+
+def run_one(image, client_name, fault_kind, seed, engine="closure"):
+    """One chaos run; returns (ok, detail_string, result)."""
+    cell = client_cell(image, "-", client_name, fault_kind, seed, engine)
+    problems, _, result = matrix.run_cell(cell, run_native(Process(image)))
+    return not problems, "; ".join(problems) or "ok", result
+
+
+# ------------------------------------------------- drshield matrix (--runtime)
 
 # Escalation-ladder event kinds that must be byte-identical across the
 # three engines for every (fault, workload, seed) cell.
@@ -219,214 +287,100 @@ LADDER_EVENT_KINDS = ("shield_fault", "subsystem_disabled", "watchdog_trip")
 PRESSURE_KINDS = ("runtime_raise:evict", "runtime_raise:unlink")
 
 
-def runtime_fault_workloads(matrix):
-    if matrix == "small":
-        return ("loop", "indirect")
-    return ("loop", "indirect", "signal")
-
-
-def runtime_engines(fault_kind):
-    # The chain chokepoint only exists on the chain engine.
-    if fault_kind == "runtime_raise:chain":
-        return ("chain",)
-    return RUNTIME_ENGINES
-
-
-def runtime_options(fault_kind, engine):
-    options = RuntimeOptions.with_traces()
-    options.shield = True
-    options.trace_events = True
-    options.trace_buffer = None
-    options.precise_interrupts = True
-    options.trace_threshold = 3
-    options.closure_engine = engine != "tuple"
-    options.chain_engine = engine == "chain"
-    options.chain_threshold = 3
-    if fault_kind in PRESSURE_KINDS:
-        options.code_cache_limit = 256
-    if fault_kind == "runtime_raise:evict":
-        options.cache_evict_policy = "fifo"
-    return options
-
-
-def run_runtime_one(image, fault_kind, seed, engine):
-    """One drshield run; returns (ok, detail, ladder_event_stream)."""
-    native = run_native(Process(image))
-    runtime = DynamoRIO(
-        Process(image), options=runtime_options(fault_kind, engine)
+def shield_options(engine="closure", **overrides):
+    settings = dict(
+        engine=engine,
+        shield=True,
+        trace_events=True,
+        trace_buffer=None,
+        precise_interrupts=True,
+        trace_threshold=3,
+        chain_threshold=3,
     )
-    # Trace finalization only runs a handful of times in these short
-    # workloads, so the plan must start at the first one to be
-    # guaranteed to fire; the period still varies with the seed.
-    start = 1 if fault_kind == "runtime_raise:trace" else None
-    runtime.rguard.plan = RuntimeFaultPlan(fault_kind, seed, start=start)
-    try:
-        result = runtime.run()
-    except Exception as exc:  # contract: nothing escapes the ladder
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc), None
+    settings.update(overrides)
+    return RuntimeOptions(**settings)
 
-    problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
-        )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    if runtime.rguard.injected == 0:
-        problems.append("runtime fault plan never fired")
-    stats = runtime.stats.as_dict()
-    if replay_stats(runtime.observer.events()) != stats:
-        problems.append("event stream does not replay onto live stats")
-    if fault_kind == "livelock":
-        # Livelock produces no internal exception, so no shield_fault;
-        # the watchdog must have broken the loop instead.
-        if not stats["watchdog_trips"]:
-            problems.append("livelock never tripped the watchdog")
-    elif not stats["shield_faults"]:
-        problems.append("fault injected but no shield_fault recorded")
-    ladder = [
+
+def ladder_events(runtime, result):
+    return [
         (ev.kind, ev.tag, ev.data)
         for ev in runtime.observer.events()
         if ev.kind in LADDER_EVENT_KINDS
     ]
-    if problems:
-        return False, "; ".join(problems), ladder
-    return True, "ok (%d injected, %d shield faults, %d ladder events)" % (
-        runtime.rguard.injected,
-        stats["shield_faults"],
-        len(ladder),
-    ), ladder
 
 
-def run_runtime_matrix(args, images):
-    kinds = (args.fault,) if args.fault else RUNTIME_FAULT_KINDS
-    runs = failures = 0
-    for fault_kind in kinds:
-        for workload in runtime_fault_workloads(args.matrix):
-            for seed in range(args.seeds):
-                streams = []
-                for engine in runtime_engines(fault_kind):
-                    runs += 1
-                    ok, detail, ladder = run_runtime_one(
-                        images[workload], fault_kind, seed, engine
-                    )
-                    label = "%-22s %-8s seed=%d %-7s" % (
-                        fault_kind, workload, seed, engine,
-                    )
-                    if not ok:
-                        failures += 1
-                        print("FAIL %s: %s" % (label, detail))
-                    elif args.verbose:
-                        print("ok   %s: %s" % (label, detail))
-                    if ok and ladder is not None:
-                        streams.append((engine, ladder))
-                # The ladder is part of the simulated result: every
-                # engine must have climbed exactly the same rungs.
-                for engine, ladder in streams[1:]:
-                    if ladder != streams[0][1]:
-                        failures += 1
-                        print(
-                            "FAIL %-22s %-8s seed=%d: ladder events "
-                            "diverge between %s and %s engines"
-                            % (
-                                fault_kind, workload, seed,
-                                streams[0][0], engine,
-                            )
-                        )
-    print(
-        "chaos --runtime: %d runs, %d failures (%s matrix, %d seeds)"
-        % (runs, failures, args.matrix, args.seeds)
-    )
-    return 1 if failures else 0
-
-
-def run_one(image, client_name, fault_kind, seed, closure_engine=True):
-    """One chaos run; returns (ok, detail_string, result)."""
-    native = run_native(Process(image))
-
-    options = RuntimeOptions.with_traces()
-    options.guard_clients = True
-    options.client_fault_limit = 3
-    options.client_hook_budget = 200000
-    options.cache_consistency = True
-    options.verify_fragments = True
-    options.verify_equivalence = True
-    options.trace_events = True
-    options.trace_buffer = None
-    options.closure_engine = closure_engine
-    if fault_kind in ("mid_trace_signal", "smc_write"):
-        # Make traces (and therefore trace hooks / stitched-span
-        # invalidation) happen early in these short programs.
-        options.trace_threshold = 3
-    if fault_kind in DETACH_KINDS:
-        options.precise_interrupts = True
-
-    plan = FaultPlan(fault_kind, seed)
-    client = FaultInjectingClient(plan, inner=CLIENTS[client_name]())
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    try:
-        result = runtime.run()
-    except Exception as exc:  # contract: nothing escapes the guard
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc), None
-
+def ladder_engaged(runtime, result):
     problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
-        )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    counts = runtime.observer.counts
-    for kind in EXPECTED_EVENTS[fault_kind]:
-        if not counts.get(kind):
-            problems.append("expected event %r never fired" % kind)
-    if (
-        fault_kind not in ("smc_write", "mid_fragment_signal")
-        and client.injected == 0
-    ):
-        problems.append("fault plan never fired")
-    if fault_kind == "mid_fragment_signal":
-        # The point of the kind: at least one alarm must have been
-        # taken *inside* a fragment via the translation table, not at
-        # a fragment boundary.
-        mid = sum(
-            1
-            for ev in runtime.observer.events()
-            if ev.kind == "signal_delivered" and ev.data.get("mid_fragment")
-        )
-        if not mid:
-            problems.append("no mid-fragment signal delivery")
-    if fault_kind in ("corrupt_instrlist", "cache_poison") and client.injected:
-        # drequiv negative control: these faults corrupt instruction
-        # lists semantically, so beyond the guard's dynamic bailout the
-        # equivalence rule must have flagged them *statically* at emit.
-        equiv_errors = [
-            d
-            for d in runtime.verifier_diagnostics
-            if d.is_error and d.rule == "equivalence"
-        ]
-        if not equiv_errors:
-            problems.append(
-                "injected %s was never flagged by the equivalence rule"
-                % fault_kind
+    if runtime.rguard.injected == 0:
+        problems.append("runtime fault plan never fired")
+    if runtime.rguard.plan.kind == "livelock":
+        # Livelock produces no internal exception, so no shield_fault;
+        # the watchdog must have broken the loop instead.
+        if not runtime.stats.watchdog_trips:
+            problems.append("livelock never tripped the watchdog")
+    elif not runtime.stats.shield_faults:
+        problems.append("fault injected but no shield_fault recorded")
+    return problems
+
+
+def runtime_cell(image, workload, fault_kind, seed, engine):
+    # Trace finalization only runs a handful of times in these short
+    # workloads, so the plan must start at the first one to be
+    # guaranteed to fire; the period still varies with the seed.
+    start = 1 if fault_kind == "runtime_raise:trace" else None
+    options = shield_options(engine)
+    if fault_kind in PRESSURE_KINDS:
+        options.code_cache_limit = 256
+    if fault_kind == "runtime_raise:evict":
+        options.cache_evict_policy = "fifo"
+
+    def arm(runtime):
+        runtime.rguard.plan = RuntimeFaultPlan(fault_kind, seed, start=start)
+
+    return matrix.Cell(
+        "%-22s %-8s seed=%d %-7s" % (fault_kind, workload, seed, engine),
+        image,
+        options,
+        setup=arm,
+        oracles=(ladder_engaged, matrix.replay_exact),
+        # The ladder is part of the simulated result: every engine must
+        # have climbed exactly the same rungs.
+        agree=((fault_kind, workload, seed), ladder_events),
+    )
+
+
+# ---------------------------------------------------------------------- CLI
+
+def cells(args):
+    """The matrix selected by ``args``, in run order."""
+    images = workload_images()
+    if args.runtime:
+        kinds = (args.fault,) if args.fault else RUNTIME_FAULT_KINDS
+        return [
+            runtime_cell(images[workload], workload, kind, seed, engine)
+            for kind in kinds
+            for workload in fault_workloads(kind, args.matrix)
+            for seed in range(args.seeds)
+            # The chain chokepoint only exists on the chain engine.
+            for engine in (
+                ("chain",) if kind == "runtime_raise:chain" else ENGINES
             )
-    if problems:
-        return False, "; ".join(problems), result
-    return True, "ok (%d faults, %d events)" % (
-        runtime.stats.client_faults,
-        runtime.observer.total_emitted,
-    ), result
+        ]
+    clients = SMALL_CLIENTS if args.matrix == "small" else FULL_CLIENTS
+    engines = ("closure",) if args.matrix == "small" else ("closure", "tuple")
+    kinds = (args.fault,) if args.fault else FAULT_KINDS
+    return [
+        client_cell(images[workload], workload, client_name, kind, seed,
+                    engine)
+        for kind in kinds
+        for workload in fault_workloads(kind, args.matrix)
+        for client_name in clients
+        for seed in range(args.seeds)
+        for engine in engines
+    ]
 
 
-def main(argv=None):
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=4, help="seeds per cell")
     parser.add_argument(
@@ -453,40 +407,17 @@ def main(argv=None):
                 "--fault %s does not belong to the %s matrix"
                 % (args.fault, "runtime" if args.runtime else "client")
             )
+    return args
 
-    images = workload_images()
-    if args.runtime:
-        return run_runtime_matrix(args, images)
-    clients = SMALL_CLIENTS if args.matrix == "small" else FULL_CLIENTS
-    engines = (True,) if args.matrix == "small" else (True, False)
-    kinds = (args.fault,) if args.fault else FAULT_KINDS
 
-    runs = failures = 0
-    for fault_kind in kinds:
-        for workload in fault_workloads(fault_kind, args.matrix):
-            for client_name in clients:
-                for seed in range(args.seeds):
-                    for engine in engines:
-                        runs += 1
-                        ok, detail, _ = run_one(
-                            images[workload], client_name, fault_kind,
-                            seed, closure_engine=engine,
-                        )
-                        label = "%-16s %-8s %-7s seed=%d %s" % (
-                            fault_kind, workload, client_name, seed,
-                            "closure" if engine else "tuple",
-                        )
-                        if not ok:
-                            failures += 1
-                            print("FAIL %s: %s" % (label, detail))
-                        elif args.verbose:
-                            print("ok   %s: %s" % (label, detail))
-
-    print(
-        "chaos: %d runs, %d failures (%s matrix, %d seeds)"
-        % (runs, failures, args.matrix, args.seeds)
+def main(argv=None):
+    args = parse_args(argv)
+    summary = "%s: {runs} runs, {failures} failures (%s matrix, %d seeds)" % (
+        "chaos --runtime" if args.runtime else "chaos",
+        args.matrix,
+        args.seeds,
     )
-    return 1 if failures else 0
+    return matrix.run(cells(args), summary, verbose=args.verbose)
 
 
 if __name__ == "__main__":

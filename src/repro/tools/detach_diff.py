@@ -26,19 +26,16 @@ Exit status is non-zero if any cell diverges.
 
 import argparse
 import sys
-import time
 
 from repro.api.client import Client
 from repro.api.dr import dr_detach, dr_insert_clean_call
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.interp import run_native
-from repro.observe.events import replay_stats
+from repro.core import RuntimeOptions
+from repro.core.options import ENGINES
 from repro.resilience.faultinject import RuntimeFaultPlan
+from repro.tools import matrix
 from repro.tools.chaos import workload_images
 from repro.workloads import load_benchmark
 
-ENGINES = ("tuple", "closure", "chain")
 MODES = ("detach", "reattach")
 DEFAULT_BENCHMARKS = ("gzip", "mcf")
 
@@ -62,104 +59,81 @@ class DetachClient(Client):
         dr_insert_clean_call(ilist, first, self._tick)
 
 
-def run_cell(image, native, engine, mode, at, reattach_after):
-    """One differential cell; returns (ok, detail)."""
-    options = RuntimeOptions(
-        closure_engine=engine != "tuple",
-        chain_engine=engine == "chain",
+def detach_options(engine, **overrides):
+    return RuntimeOptions(
+        engine=engine,
         chain_threshold=3,
         precise_interrupts=True,
         trace_events=True,
         trace_buffer=None,
+        **overrides
     )
-    client = DetachClient(
-        at, reattach_after=reattach_after if mode == "reattach" else None
-    )
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    try:
-        result = runtime.run()
-    except Exception as exc:
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc)
 
-    problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
-        )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    if runtime.stats.detaches != 1:
-        problems.append("detached %d times" % runtime.stats.detaches)
+
+def ended_detached(runtime, result):
+    return [] if runtime.detached else ["run ended attached"]
+
+
+def detach_cell(name, image, engine, mode, at, reattach_after):
+    """A client detaches at its ``at``-th clean call, mid-fragment."""
     if mode == "reattach":
-        if runtime.stats.reattaches != 1:
-            problems.append(
-                "re-attached %d times" % runtime.stats.reattaches
-            )
-        if replay_stats(runtime.observer.events()) != runtime.stats.as_dict():
-            problems.append("event stream does not replay to live stats")
-    elif not runtime.detached:
-        problems.append("run ended attached in stay-native mode")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "ok (detached at call %d)" % at
+        oracles = (matrix.stats_equal(detaches=1, reattaches=1), matrix.replay_exact)
+    else:
+        oracles = (matrix.stats_equal(detaches=1), ended_detached)
+        reattach_after = None
+    return matrix.Cell(
+        "%-8s %-7s %-8s" % (name, engine, mode),
+        image,
+        detach_options(engine),
+        client=lambda: DetachClient(at, reattach_after=reattach_after),
+        oracles=oracles,
+    )
 
 
-def run_shield_cell(image, native, engine):
+def shield_cell(image, engine):
     """Shield-triggered detach: no client at all — a runtime fault plan
     makes every basic-block build raise, so one ``_guarded_build``
     climbs retry → flush → detach and the program finishes natively."""
-    options = RuntimeOptions(
-        closure_engine=engine != "tuple",
-        chain_engine=engine == "chain",
-        chain_threshold=3,
-        precise_interrupts=True,
-        trace_events=True,
-        trace_buffer=None,
-        shield=True,
-    )
-    runtime = DynamoRIO(Process(image), options=options)
-    runtime.rguard.plan = RuntimeFaultPlan(
-        "runtime_raise:bb_build", 0, start=1, period=1
-    )
-    try:
-        result = runtime.run()
-    except Exception as exc:
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc)
 
-    problems = []
-    if result.output != native.output:
-        problems.append(
-            "output diverged (%r != native %r)"
-            % (result.output[:32], native.output[:32])
+    def arm(runtime):
+        runtime.rguard.plan = RuntimeFaultPlan(
+            "runtime_raise:bb_build", 0, start=1, period=1
         )
-    if result.exit_code != native.exit_code:
-        problems.append(
-            "exit code diverged (%s != native %s)"
-            % (result.exit_code, native.exit_code)
-        )
-    if not runtime.detached:
-        problems.append("shield ladder never detached")
-    if runtime.stats.detaches != 1:
-        problems.append("detached %d times" % runtime.stats.detaches)
-    if runtime.stats.shield_faults != 3:
-        problems.append(
-            "%d shield faults (expected the ladder's 3)"
-            % runtime.stats.shield_faults
-        )
-    if replay_stats(runtime.observer.events()) != runtime.stats.as_dict():
-        problems.append("event stream does not replay to live stats")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "ok (ladder detached after %d faults)" % (
-        runtime.stats.shield_faults
+
+    return matrix.Cell(
+        "%-8s %-7s %-8s" % ("signal", engine, "shield"),
+        image,
+        detach_options(engine, shield=True),
+        setup=arm,
+        oracles=(ended_detached, matrix.replay_exact,
+                 matrix.stats_equal(detaches=1, shield_faults=3)),
     )
 
 
-def main(argv=None):
+def cells(args):
+    """The differential selected by ``args``, in run order."""
+    programs = [
+        (name, load_benchmark(name, args.scale), args.at, args.reattach_after)
+        for name in args.benchmarks.split(",")
+    ]
+    # Pending-signal variant: the chaos signal workload arms alarms, so
+    # detaching early leaves a deadline pending across the transition.
+    # Small program — detach at the third call, short native window.
+    signal_image = workload_images()["signal"]
+    programs.append(("signal", signal_image, 3, 300))
+    result = [
+        detach_cell(name, image, engine, mode, at, reattach_after)
+        for name, image, at, reattach_after in programs
+        for engine in ENGINES
+        for mode in args.modes.split(",")
+    ]
+    # Shield-triggered detach: the failsafe ladder, not a client, pulls
+    # the plug — same native-identity contract as every other cell.
+    result.extend(shield_cell(signal_image, engine) for engine in ENGINES)
+    return result
+
+
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--benchmarks", default=",".join(DEFAULT_BENCHMARKS),
@@ -178,52 +152,16 @@ def main(argv=None):
         help="native instructions before re-attach",
     )
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
-    cells = []
-    for name in args.benchmarks.split(","):
-        cells.append((name, load_benchmark(name, args.scale), args.at,
-                      args.reattach_after))
-    # Pending-signal variant: the chaos signal workload arms alarms, so
-    # detaching early leaves a deadline pending across the transition.
-    # Small program — detach at the third call, short native window.
-    signal_image = workload_images()["signal"]
-    cells.append(("signal", signal_image, 3, 300))
 
-    modes = args.modes.split(",")
-    runs = failures = 0
-    start = time.perf_counter()
-    for name, image, at, reattach_after in cells:
-        native = run_native(Process(image))
-        for engine in ENGINES:
-            for mode in modes:
-                runs += 1
-                ok, detail = run_cell(
-                    image, native, engine, mode, at, reattach_after
-                )
-                label = "%-8s %-7s %-8s" % (name, engine, mode)
-                if not ok:
-                    failures += 1
-                    print("FAIL %s: %s" % (label, detail))
-                elif args.verbose:
-                    print("ok   %s: %s" % (label, detail))
-    # Shield-triggered detach: the failsafe ladder, not a client, pulls
-    # the plug — same native-identity contract as every other cell.
-    shield_native = run_native(Process(signal_image))
-    for engine in ENGINES:
-        runs += 1
-        ok, detail = run_shield_cell(signal_image, shield_native, engine)
-        label = "%-8s %-7s %-8s" % ("signal", engine, "shield")
-        if not ok:
-            failures += 1
-            print("FAIL %s: %s" % (label, detail))
-        elif args.verbose:
-            print("ok   %s: %s" % (label, detail))
-    print(
-        "detach diff: %d runs, %d failures (%.1fs)"
-        % (runs, failures, time.perf_counter() - start)
+def main(argv=None):
+    args = parse_args(argv)
+    return matrix.run(
+        cells(args),
+        "detach diff: {runs} runs, {failures} failures ({seconds:.1f}s)",
+        verbose=args.verbose,
     )
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

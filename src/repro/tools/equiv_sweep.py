@@ -22,52 +22,49 @@ other half (no false negatives on seeded faults).
 
 import argparse
 import sys
-import time
 
-from repro.core import DynamoRIO, RuntimeOptions
-from repro.loader import Process
-from repro.machine.interp import run_native
-from repro.tools.run import CLIENTS
+from repro.core import RuntimeOptions
+from repro.tools import matrix
+from repro.tools.run import make_client
 from repro.workloads import all_benchmarks, load_benchmark
 
 DEFAULT_CLIENTS = ("null", "rlr", "inc2add", "ctrace", "ibdisp", "all",
                    "inscount-inline")
 
+def equiv_cell(name, image, client_name, engine):
+    return matrix.Cell(
+        "%-10s %-15s %s" % (name, client_name, engine),
+        image,
+        RuntimeOptions(
+            engine=engine, verify_fragments=True, verify_equivalence=True
+        ),
+        client=lambda: make_client(client_name, image),
+        oracles=(matrix.verifier_clean,),
+    )
 
-def run_cell(image, native, client_name, closure_engine):
-    """One sweep cell; returns (ok, detail)."""
-    options = RuntimeOptions.with_traces()
-    options.verify_fragments = True
-    options.verify_equivalence = True
-    options.closure_engine = closure_engine
-    if client_name == "shepherd":
-        from repro.clients import ProgramShepherding
 
-        client = ProgramShepherding(image=image)
-    else:
-        client = CLIENTS[client_name]()
-    runtime = DynamoRIO(Process(image), options=options, client=client)
-    try:
-        result = runtime.run()
-    except Exception as exc:
-        return False, "crashed: %s: %s" % (type(exc).__name__, exc)
-    problems = []
-    if result.output != native.output:
-        problems.append("output diverged")
-    if result.exit_code != native.exit_code:
-        problems.append("exit code diverged")
-    errors = [d for d in runtime.verifier_diagnostics if d.is_error]
-    warnings = len(runtime.verifier_diagnostics) - len(errors)
-    if errors:
-        problems.append(
-            "%d verifier errors; first:\n%s" % (len(errors), errors[0].format())
+def benchmark_names(args):
+    if args.benchmarks:
+        return args.benchmarks.split(",")
+    return [b.name for b in all_benchmarks()]
+
+
+def cells(args):
+    """The sweep selected by ``args``, in run order."""
+    result = []
+    for name in benchmark_names(args):
+        image = load_benchmark(name, args.scale)
+        result.extend(
+            equiv_cell(name, image, client_name, engine)
+            for client_name in args.clients.split(",")
+            for engine in (
+                ("closure", "tuple") if args.engine == "both" else (args.engine,)
+            )
         )
-    if problems:
-        return False, "; ".join(problems)
-    return True, "ok (%d warnings)" % warnings
+    return result
 
 
-def main(argv=None):
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--benchmarks", help="comma-separated subset (default: whole suite)"
@@ -81,40 +78,16 @@ def main(argv=None):
         "--engine", default="both", choices=["closure", "tuple", "both"]
     )
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
-    names = (
-        args.benchmarks.split(",")
-        if args.benchmarks
-        else [b.name for b in all_benchmarks()]
-    )
-    clients = args.clients.split(",")
-    engines = {
-        "closure": (True,), "tuple": (False,), "both": (True, False),
-    }[args.engine]
 
-    runs = failures = 0
-    start = time.perf_counter()
-    for name in names:
-        image = load_benchmark(name, args.scale)
-        native = run_native(Process(image))
-        for client_name in clients:
-            for engine in engines:
-                runs += 1
-                ok, detail = run_cell(image, native, client_name, engine)
-                label = "%-10s %-15s %s" % (
-                    name, client_name, "closure" if engine else "tuple"
-                )
-                if not ok:
-                    failures += 1
-                    print("FAIL %s: %s" % (label, detail))
-                elif args.verbose:
-                    print("ok   %s: %s" % (label, detail))
-    print(
-        "equiv sweep: %d runs, %d failures (%d benchmarks, %.1fs)"
-        % (runs, failures, len(names), time.perf_counter() - start)
+def main(argv=None):
+    args = parse_args(argv)
+    summary = (
+        "equiv sweep: {runs} runs, {failures} failures (%d benchmarks, "
+        "{seconds:.1f}s)" % len(benchmark_names(args))
     )
-    return 1 if failures else 0
+    return matrix.run(cells(args), summary, verbose=args.verbose)
 
 
 if __name__ == "__main__":

@@ -38,8 +38,17 @@ CLIENTS = {
     "inscount-inline": lambda: __import__(
         "repro.clients", fromlist=["InlineInstructionCounter"]
     ).InlineInstructionCounter(),
-    "shepherd": lambda: None,  # needs the image; constructed below
+    "shepherd": lambda: None,  # needs the image; see make_client
 }
+
+
+def make_client(name, image):
+    """A fresh client by CLI name; program shepherding needs the image."""
+    if name == "shepherd":
+        from repro.clients import ProgramShepherding
+
+        return ProgramShepherding(image=image)
+    return CLIENTS[name]()
 
 
 def main(argv=None):
@@ -83,16 +92,10 @@ def main(argv=None):
     if args.native_only:
         return
 
-    if args.client == "shepherd":
-        from repro.clients import ProgramShepherding
-
-        client = ProgramShepherding(image=image)
-    else:
-        client = CLIENTS[args.client]()
     runtime = DynamoRIO(
         Process(image),
         options=RuntimeOptions.with_traces(),
-        client=client,
+        client=make_client(args.client, image),
         cost_model=CostModel(family),
     )
     if args.profile:

@@ -7,6 +7,7 @@ from repro.api.dr import dr_insert_clean_call, dr_set_exit_stub
 from repro.core import RuntimeOptions
 from repro.core.code_cache import CacheFullError, CacheUnit
 from repro.core.fragments import Fragment
+from repro.core.options import ENGINES
 from repro.ir.instrlist import InstrList
 from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_MEM, OPND_CREATE_INT32
 
@@ -165,11 +166,11 @@ class TestCacheEviction:
         """Constant eviction while trace recordings are active (tiny
         cache, hair-trigger threshold) must stay transparent on both
         engines."""
-        for closure_engine in (True, False):
+        for engine in ("closure", "tuple"):
             opts = RuntimeOptions.with_traces()
             opts.code_cache_limit = 700
             opts.trace_threshold = 3  # recordings active most of the run
-            opts.closure_engine = closure_engine
+            opts.engine = engine
             _dr, result = run_under(indirect_image, opts)
             assert result.output == indirect_native.output
             assert result.exit_code == indirect_native.exit_code
@@ -277,12 +278,11 @@ class TestCacheEviction:
         )
 
         reference = None
-        for engine in ("tuple", "closure", "chain"):
+        for engine in ENGINES:
             opts = RuntimeOptions.with_traces()
             opts.code_cache_limit = 2 * (biggest - 1)
             opts.cache_evict_policy = "fifo"
-            opts.closure_engine = engine in ("closure", "chain")
-            opts.chain_engine = engine == "chain"
+            opts.engine = engine
             _dr, result = run_under(image, opts)
             assert result.output == native.output
             assert result.exit_code == native.exit_code

@@ -33,6 +33,7 @@ from repro.clients import (
     StrengthReduction,
 )
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.cost import CostModel
 from repro.machine.interp import run_native
@@ -40,8 +41,6 @@ from repro.minicc import compile_source
 from repro.observe import replay_stats
 
 from tests.conftest import INDIRECT_SRC, LOOP_SRC
-
-ENGINES = ("tuple", "closure", "chain")
 
 CLIENTS = (
     ("none", lambda: None),
@@ -84,8 +83,7 @@ def _options(cell, engine):
     opts.cache_evict_policy = cell["policy"]
     opts.cache_adaptive = cell["adaptive"]
     opts.trace_threshold = cell["trace_threshold"]
-    opts.closure_engine = engine in ("closure", "chain")
-    opts.chain_engine = engine == "chain"
+    opts.engine = engine
     opts.chain_threshold = cell["chain_threshold"]
     if cell["traced"]:
         opts.trace_events = True

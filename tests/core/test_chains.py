@@ -18,18 +18,16 @@ from repro.api.dr import (
     dr_replace_fragment,
 )
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core.options import ENGINES
 from repro.ir.create import INSTR_CREATE_nop
 from repro.loader import Process
 from repro.machine.cost import CostModel
 from repro.tools.chaos import build_smc_image
 
-ENGINES = ("tuple", "closure", "chain")
-
 
 def _engine_options(factory, engine, **overrides):
     options = factory()
-    options.closure_engine = engine in ("closure", "chain")
-    options.chain_engine = engine == "chain"
+    options.engine = engine
     options.chain_threshold = 1  # promote on the first pass
     for name, value in overrides.items():
         setattr(options, name, value)
@@ -88,7 +86,7 @@ def test_chains_promote_only_at_threshold(loop_image):
     assert _chain_report(runtime)["chains_built"] > 0
 
 
-def test_chain_manager_absent_off_chain_engines(loop_image):
+def test_chain_manager_absent_on_other_engines(loop_image):
     for engine in ("tuple", "closure"):
         runtime, _ = _run(loop_image, RuntimeOptions.with_traces, engine)
         assert runtime.chains is None

@@ -28,6 +28,7 @@ from repro.clients import (
     StrengthReduction,
 )
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.cost import CostModel
 from repro.machine.interp import Interpreter
@@ -70,14 +71,9 @@ SOURCES = {
     "signals": SIGNAL_SRC,
 }
 
-# The reference engine plus both compiled tiers; every differential in
-# this module runs all three and asserts pairwise identity.
-ENGINES = ("tuple", "closure", "chain")
-
 
 def _apply_engine(options, engine):
-    options.closure_engine = engine in ("closure", "chain")
-    options.chain_engine = engine == "chain"
+    options.engine = engine
     if engine == "chain":
         # Promote at the first pass so the short test workloads
         # actually exercise stitched tables.

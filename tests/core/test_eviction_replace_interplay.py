@@ -61,25 +61,25 @@ class _ChurningClient(Client):
         self.replaced.discard(tag)
 
 
-def _churn_options(closure_engine, policy="flush"):
+def _churn_options(engine, policy="flush"):
     opts = RuntimeOptions.with_traces()
     opts.code_cache_limit = 700  # constant pressure (test_cache_and_stubs)
     opts.cache_evict_policy = policy
     opts.trace_threshold = 5
-    opts.closure_engine = closure_engine
+    opts.engine = engine
     opts.trace_events = True
     opts.trace_buffer = None  # unbounded: replay must be exact
     return opts
 
 
 @pytest.mark.parametrize("policy", ["flush", "fifo"])
-@pytest.mark.parametrize("closure_engine", [True, False])
+@pytest.mark.parametrize("engine", ["closure", "tuple"])
 def test_eviction_during_replacement_stays_transparent(
-    loop_image, loop_native, closure_engine, policy
+    loop_image, loop_native, engine, policy
 ):
     client = _ChurningClient()
     dr, result = run_under(
-        loop_image, _churn_options(closure_engine, policy), client=client
+        loop_image, _churn_options(engine, policy), client=client
     )
 
     # The interplay actually happened: fragments were replaced AND the
@@ -114,7 +114,7 @@ def test_no_stale_fragments_remain(loop_image, policy):
     and every linked stub points at a live fragment."""
     client = _ChurningClient()
     dr, _ = run_under(
-        loop_image, _churn_options(True, policy), client=client
+        loop_image, _churn_options("closure", policy), client=client
     )
     thread = dr.current_thread
     for cache in (thread.bb_cache, thread.trace_cache):
@@ -125,16 +125,16 @@ def test_no_stale_fragments_remain(loop_image, policy):
                     assert not stub.linked_to.deleted
 
 
-@pytest.mark.parametrize("closure_engine", [True, False])
+@pytest.mark.parametrize("engine", ["closure", "tuple"])
 def test_fifo_eviction_trace_heads_and_replacement(
-    indirect_image, indirect_native, closure_engine
+    indirect_image, indirect_native, engine
 ):
     """Single-fragment eviction interleaved with trace-head promotion
     and in-fragment replacement on the indirect workload: hair-trigger
     tracing means victims are routinely trace heads or trace members,
     and the churning client re-replaces every rebuild."""
     client = _ChurningClient()
-    opts = _churn_options(closure_engine, policy="fifo")
+    opts = _churn_options(engine, policy="fifo")
     opts.trace_threshold = 3  # promotions throughout the run
     dr, result = run_under(indirect_image, opts, client=client)
 

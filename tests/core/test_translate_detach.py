@@ -21,17 +21,16 @@ import pytest
 from repro.api.client import Client
 from repro.api.dr import (
     dr_detach,
-    dr_insert_clean_call,
     dr_reattach,
     dr_register_event_tracer,
 )
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.interp import Interpreter, run_native
 from repro.minicc import compile_source
 from repro.observe.events import EV_SIGNAL_DELIVERED, replay_stats
-
-ENGINES = ("tuple", "closure", "chain")
+from repro.tools.detach_diff import DetachClient, detach_options
 
 SIGNAL_SRC = """
 int ticks;
@@ -72,23 +71,9 @@ def signal_native(signal_image):
     return run_native(Process(signal_image))
 
 
-def _options(engine, **overrides):
-    options = RuntimeOptions(
-        closure_engine=engine != "tuple",
-        chain_engine=engine == "chain",
-        chain_threshold=3,
-        precise_interrupts=True,
-        trace_events=True,
-        trace_buffer=None,
-    )
-    for key, value in overrides.items():
-        setattr(options, key, value)
-    return options
-
-
 def _run(image, engine, client=None, **overrides):
     runtime = DynamoRIO(
-        Process(image), options=_options(engine, **overrides), client=client
+        Process(image), options=detach_options(engine, **overrides), client=client
     )
     return runtime, runtime.run()
 
@@ -110,25 +95,6 @@ def _valid_pcs(fragment):
             if pc is not None:
                 pcs.add(pc)
     return pcs
-
-
-class DetachAtCall(Client):
-    """Clean-calls every block; the k-th dynamic call detaches."""
-
-    def __init__(self, at, reattach_after=None):
-        super().__init__()
-        self.at = at
-        self.reattach_after = reattach_after
-        self.calls = 0
-
-    def _tick(self, context):
-        self.calls += 1
-        if self.calls == self.at:
-            dr_detach(self, reattach_after=self.reattach_after)
-
-    def basic_block(self, context, tag, ilist):
-        first = next(iter(ilist), None)
-        dr_insert_clean_call(ilist, first, self._tick)
 
 
 class DetachAtBuild(Client):
@@ -251,7 +217,7 @@ def test_polls_are_free_when_disabled(loop_image):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_detach_then_native_is_bit_identical(loop_image, loop_native, engine):
-    runtime, result = _run(loop_image, engine, client=DetachAtCall(at=7))
+    runtime, result = _run(loop_image, engine, client=DetachClient(at=7))
     assert result.output == loop_native.output
     assert result.exit_code == loop_native.exit_code
     assert runtime.stats.detaches == 1
@@ -274,8 +240,8 @@ def test_detach_with_pending_signal(signal_image, signal_native, engine):
 def test_translated_state_matches_interpreter(loop_image, engine):
     runtime = DynamoRIO(
         Process(loop_image),
-        options=_options(engine),
-        client=DetachAtCall(at=9),
+        options=detach_options(engine),
+        client=DetachClient(at=9),
     )
     snapshot = {}
     original = runtime._perform_detach
@@ -322,7 +288,7 @@ def test_reattach_resumes_with_replay_exact_stats(
     loop_image, loop_native, engine
 ):
     runtime, result = _run(
-        loop_image, engine, client=DetachAtCall(at=7, reattach_after=600)
+        loop_image, engine, client=DetachClient(at=7, reattach_after=600)
     )
     assert result.output == loop_native.output
     assert result.exit_code == loop_native.exit_code
@@ -355,7 +321,7 @@ def test_detach_unregisters_tracers_reattach_restores(
 ):
     kinds = []
 
-    class Tracing(DetachAtCall):
+    class Tracing(DetachClient):
         def init(self):
             dr_register_event_tracer(self, lambda ev: kinds.append(ev.kind))
 
@@ -379,7 +345,7 @@ def test_detach_unregisters_tracers_reattach_restores(
 def test_detach_flushes_through_delete_chokepoint(loop_image, loop_native):
     deleted = []
 
-    class Watch(DetachAtCall):
+    class Watch(DetachClient):
         def fragment_deleted(self, context, tag):
             deleted.append(tag)
 

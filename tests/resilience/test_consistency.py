@@ -28,9 +28,9 @@ def smc_native(smc_image):
     return run_native(Process(smc_image))
 
 
-def _smc_options(closure_engine, consistency=True):
+def _smc_options(engine, consistency=True):
     options = RuntimeOptions.with_traces()
-    options.closure_engine = closure_engine
+    options.engine = engine
     options.cache_consistency = consistency
     options.trace_events = True
     options.trace_buffer = None
@@ -45,13 +45,9 @@ def test_native_smc_output_shape(smc_native):
     assert smc_native.exit_code == 0
 
 
-@pytest.mark.parametrize("closure_engine", [True, False])
-def test_smc_invalidation_matches_native(
-    smc_image, smc_native, closure_engine
-):
-    runtime = DynamoRIO(
-        Process(smc_image), options=_smc_options(closure_engine)
-    )
+@pytest.mark.parametrize("engine", ["closure", "tuple"])
+def test_smc_invalidation_matches_native(smc_image, smc_native, engine):
+    runtime = DynamoRIO(Process(smc_image), options=_smc_options(engine))
     result = runtime.run()
     assert result.output == smc_native.output
     assert result.exit_code == smc_native.exit_code
@@ -67,7 +63,7 @@ def test_smc_diverges_without_consistency(smc_image, smc_native):
     running and the patch is never picked up."""
     runtime = DynamoRIO(
         Process(smc_image),
-        options=_smc_options(closure_engine=True, consistency=False),
+        options=_smc_options("closure", consistency=False),
     )
     result = runtime.run()
     assert result.output == b"A" * 12
@@ -77,10 +73,8 @@ def test_smc_diverges_without_consistency(smc_image, smc_native):
 
 def test_smc_engines_bit_identical(smc_image):
     results = [
-        DynamoRIO(
-            Process(smc_image), options=_smc_options(engine)
-        ).run()
-        for engine in (True, False)
+        DynamoRIO(Process(smc_image), options=_smc_options(engine)).run()
+        for engine in ("closure", "tuple")
     ]
     a, b = results
     assert a.cycles == b.cycles
@@ -93,11 +87,11 @@ def test_smc_invalidation_charges_cycles(smc_image):
     """Invalidation is modeled work: the consistency run costs more
     simulated cycles than a (wrong-output) run without it."""
     with_it = DynamoRIO(
-        Process(smc_image), options=_smc_options(True)
+        Process(smc_image), options=_smc_options("closure")
     ).run()
     without = DynamoRIO(
         Process(smc_image),
-        options=_smc_options(True, consistency=False),
+        options=_smc_options("closure", consistency=False),
     ).run()
     assert with_it.cycles > without.cycles
 

@@ -19,53 +19,29 @@ The contract under ``options.shield``:
 
 import pytest
 
-from repro.core import DynamoRIO, RuntimeOptions
+from repro.core import DynamoRIO
+from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.interp import run_native
 from repro.machine.memory import MachineFault, Memory
 from repro.observe.events import replay_stats
 from repro.resilience import RuntimeGuard, Shield
 from repro.resilience.faultinject import RUNTIME_FAULT_KINDS, RuntimeFaultPlan
-from repro.tools.chaos import build_smc_image
+from repro.tools.chaos import build_smc_image, ladder_events, shield_options
 
 from tests.conftest import run_under
-
-ENGINES = ("tuple", "closure", "chain")
-
-
-def _shield_options(engine="closure", **overrides):
-    options = RuntimeOptions.with_traces()
-    options.shield = True
-    options.trace_events = True
-    options.trace_buffer = None
-    options.precise_interrupts = True
-    options.trace_threshold = 3
-    options.closure_engine = engine != "tuple"
-    options.chain_engine = engine == "chain"
-    options.chain_threshold = 3
-    for key, value in overrides.items():
-        setattr(options, key, value)
-    return options
 
 
 def _run_with_plan(image, kind, seed=0, engine="closure", start=None,
                    period=None, **overrides):
     runtime = DynamoRIO(
-        Process(image), options=_shield_options(engine, **overrides)
+        Process(image), options=shield_options(engine, **overrides)
     )
     runtime.rguard.plan = RuntimeFaultPlan(
         kind, seed, start=start, period=period
     )
     result = runtime.run()
     return runtime, result
-
-
-def _ladder_stream(runtime):
-    return [
-        (ev.kind, ev.tag, ev.data)
-        for ev in runtime.observer.events()
-        if ev.kind in ("shield_fault", "subsystem_disabled", "watchdog_trip")
-    ]
 
 
 # ------------------------------------------------------------- errant writes
@@ -106,7 +82,7 @@ def test_errant_write_ladder_identical_across_engines(loop_image):
         runtime, _ = _run_with_plan(
             loop_image, "errant_write", seed=1, engine=engine
         )
-        streams.append(_ladder_stream(runtime))
+        streams.append(ladder_events(runtime, None))
     assert streams[0] == streams[1] == streams[2]
     assert streams[0]  # the plan actually fired
 
@@ -145,7 +121,7 @@ def test_smc_still_flows_through_cache_consistency():
     image = build_smc_image()
     native = run_native(Process(image))
     runtime, result = run_under(
-        image, options=_shield_options(cache_consistency=True)
+        image, options=shield_options(cache_consistency=True)
     )
     assert result.output == native.output
     assert result.exit_code == native.exit_code
@@ -221,7 +197,7 @@ def test_chain_faults_disable_chains(loop_image, loop_native):
     assert result.output == loop_native.output
     assert "chains" in runtime.rguard.disabled
     assert runtime.chains is None
-    assert not runtime.options.chain_engine
+    assert runtime.options.engine == "closure"
 
 
 def test_evict_faults_disable_fifo_eviction(loop_image, loop_native):
@@ -282,7 +258,7 @@ def test_livelock_trips_watchdog_then_detaches(loop_image, loop_native):
 
 
 def test_watchdog_quiet_on_clean_run(loop_image):
-    runtime, _ = run_under(loop_image, options=_shield_options())
+    runtime, _ = run_under(loop_image, options=shield_options())
     assert runtime.stats.watchdog_trips == 0
     # Tags built but not yet re-executed may hold a count of 1; none
     # may ever approach the trip threshold on a clean run.
@@ -302,7 +278,7 @@ def test_shield_off_and_on_bit_identical_when_clean(loop_image, engine):
     it on or off."""
     def run(shield):
         return run_under(
-            loop_image, options=_shield_options(engine, shield=shield)
+            loop_image, options=shield_options(engine, shield=shield)
         )
 
     rt_off, res_off = run(False)
