@@ -13,20 +13,22 @@ entered ``options.chain_threshold`` times, :class:`ChainManager`
 walks its *stable direct links* (``LinkStub.KIND_DIRECT``, linked, not
 ``always_stub``) breadth-first up to ``options.chain_max_fragments``
 members and concatenates the members' step tables into one flat
-super-table:
+super-table.  The steps themselves come from
+:func:`~repro.core.closures.compile_steps`, the one place exit steps
+are built; this module hands it the data of one build (member bases,
+members by tag, the :func:`cross` boundary and the segment compiler):
 
-* linked ``jmp``/``cond``/``call`` exit steps whose target is a chain
-  member become **direct step-index transfers** — the fragment
-  boundary collapses to an inline :func:`cross` call that performs the
-  run loop's per-pass bookkeeping (budget, alarm, deadline/reschedule,
-  profiler sample, entry cost) without leaving the step loop;
-* indirect exits gain an **IBL hit fast path**: one dict probe of the
-  thread's IBL table, and when the hit is a chain member control jumps
-  straight into its slice of the super-table; ``CacheExit`` is raised
-  only on a real miss;
-* cycle charges at stitched boundaries are **fused**: the deferred
-  exit cost and the entry cost of the next member land in a single
-  counter update on the common (no-raise, profiler-off) path.
+* linked ``jmp``/``cond``/``call`` exits and dispatch-check hits whose
+  target is a chain member become **direct step-index transfers**;
+* an indirect exit whose IBL hit is a chain member jumps straight into
+  that member's slice of the super-table;
+* at each such transfer the run loop's per-pass bookkeeping (budget,
+  alarm, deadline/reschedule, profiler sample, entry cost) happens
+  without leaving the step loop: the common case is open-coded in the
+  exit step as one fused counter update (the deferred exit cost plus
+  the next member's entry cost), and :func:`cross` handles the rest;
+* straight-line runs of two or more instructions become generated
+  source (:meth:`ChainManager._compile_segment`).
 
 Chains are a pure wall-clock optimization: cycles, stats, events and
 output are bit-identical to both the closure and the tuple engine —
@@ -54,30 +56,14 @@ Correctness under mutation rests on two mechanisms:
 
 import sys
 
-from repro.core.closures import _compile_target_fetch, compile_steps, plan_fragment
-from repro.core.translate import wrap_chain_segment
-from repro.core.emit import (
-    CLEAN_CALL_COST,
-    OP_CALL_EXIT,
-    OP_COND_EXIT,
-    OP_IND_CHECK,
-    OP_IND_EXIT,
-    OP_JMP_EXIT,
-)
+from repro.core.closures import compile_steps, plan_fragment
 from repro.core.execute import EXIT_DISPATCH, CacheExit
 from repro.core.fragments import LinkStub
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
-from repro.machine.cpu import _PARITY, compile_condition
+from repro.machine.cpu import _PARITY
 from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import compile_noncti
-from repro.observe.events import (
-    EV_CLEAN_CALL,
-    EV_DISPATCH_CHECK_HIT,
-    EV_IBL_HIT,
-    EV_IBL_MISS,
-    EV_INLINE_CHECK_HIT,
-)
 
 _MASK32 = 0xFFFFFFFF
 _M = "4294967295"  # _MASK32 as a source literal
@@ -539,52 +525,31 @@ class ChainManager:
         runtime = self.runtime
         base_of = {}
         bases = []
-        plans_of = []
         total = 0
         for member in members:
-            plans, step_of, table_len = plan_fragment(member.code)
-            plans_of.append((plans, step_of))
             base_of[id(member)] = total
             bases.append(total)
-            total += table_len
+            total += plan_fragment(member.code)[2]
         # IBL hits transfer by application tag; first member wins when
         # a bb and its shadowing trace share one (the identity check in
-        # the fast path keeps a stale entry from ever being taken).
+        # the exit step keeps a stale entry from ever being taken).
         members_by_tag = {}
         for member, base in zip(members, bases):
             members_by_tag.setdefault(member.tag, (member, base))
 
         table = []
         for member, base in zip(members, bases):
-            override = self._make_override(
-                member, base_of, members_by_tag
-            )
             table.extend(
                 compile_steps(
-                    member, runtime, base=base, exit_override=override
+                    member,
+                    runtime,
+                    base,
+                    base_of,
+                    members_by_tag,
+                    self._cross,
+                    self._compile_segment,
                 )
             )
-        # Second pass: replace multi-instruction OP_EXEC runs with
-        # unrolled generated-source segments (batched accounting, no
-        # per-instruction loop machinery) — the chain tier's in-line
-        # speedup on straight-line code.
-        precise = runtime.options.precise_interrupts
-        for member, base, (plans, step_of) in zip(members, bases, plans_of):
-            code = member.code
-            sentinel = len(plans)
-            for plan_index, (plan_kind, payload) in enumerate(plans):
-                if plan_kind != "run" or len(payload) < 2:
-                    continue
-                nxt = step_of.get(payload[-1] + 1, sentinel) + base
-                segment = self._compile_segment(code, payload, nxt)
-                if precise:
-                    # The replacement clobbers compile_steps' poll
-                    # wrapper; re-wrap so chains interrupt at the same
-                    # application-consistent points as the other engines.
-                    segment = wrap_chain_segment(
-                        member, runtime, payload[0], segment
-                    )
-                table[base + plan_index] = segment
         table = tuple(table)
 
         record = _ChainRecord(root, tuple(members), table, tuple(bases))
@@ -680,13 +645,15 @@ class ChainManager:
         exec(code_obj, env)
         return env["_segment"]
 
-    # -------------------------------------------------------- boundary steps
+    # -------------------------------------------------------------- boundary
 
     def _make_cross(self):
-        """The inline fragment boundary: exactly the per-pass prologue
-        of ``Executor.run``'s loop (non-first iteration), with the
-        previous exit's deferred cycle charge (``pending``) landing at
-        the same observable points as the generic engines charge it."""
+        """The fragment boundary of a stitched transfer: exactly the
+        per-pass prologue of ``Executor.run``'s loop (non-first
+        iteration), with the previous exit's deferred cycle charge
+        (``pending``) landing at the same observable points as the
+        generic engines charge it.  Exit steps open-code its common
+        case and call it only when that does not apply."""
         runtime = self.runtime
         counter = runtime.counter
         system = runtime.system
@@ -721,372 +688,3 @@ class ChainManager:
                 counter.cycles += fragment_entry
 
         return cross
-
-    def _make_override(self, member, base_of, members_by_tag):
-        """The ``exit_override`` for one member's ``compile_steps``:
-        returns stitched replacements for exits resolvable inside the
-        chain, ``None`` (keep the generic step) otherwise."""
-        runtime = self.runtime
-        counter = runtime.counter
-        stats = runtime.stats
-        mem = runtime.memory
-        system = runtime.system
-        write_u32 = mem.write_u32
-        taken_penalty = runtime.cost.taken_branch_penalty
-        ibl_lookup = runtime.cost.ibl_lookup
-        fragment_entry = runtime.cost.fragment_entry
-        cross = self._cross
-        exits = member.exits
-        tag = member.tag
-
-        # The stitched steps below open-code cross()'s common path —
-        # no budget stop, no alarm, no deadline/reschedule, no
-        # profiler — as one fused counter update, calling cross() only
-        # when any slow condition holds (cross re-derives the exact
-        # charge/raise ordering).  This saves a Python call per
-        # stitched boundary, which dominates chain overhead on
-        # small-fragment workloads.
-
-        def stitch_of(stub):
-            """``(target, base)`` when the stub's link is baked into
-            this chain, else ``None``."""
-            if stub.kind != LinkStub.KIND_DIRECT or stub.always_stub:
-                return None
-            target = stub.linked_to
-            if target is None:
-                return None
-            target_base = base_of.get(id(target))
-            if target_base is None:
-                return None
-            return target, target_base
-
-        def hook_call(ex, fn, role, target):
-            # Checker/profiler clean call, identical to the generic
-            # engines' accounting and guard routing.
-            counter.cycles += CLEAN_CALL_COST
-            stats.clean_calls += 1
-            observer = runtime.observer
-            if observer is not None:
-                observer.emit(EV_CLEAN_CALL, tag, role=role, target=target)
-            guard = runtime.guard
-            if guard is None:
-                fn(runtime.current_thread, target)
-            else:
-                guard.call(
-                    fn, (runtime.current_thread, target), tag=tag, role=role
-                )
-
-        def resolve_indirect(ex, stub, target, cpu):
-            """In-step IBL: one dict probe, and a hit on a chain member
-            jumps straight into its slice of the super-table.  Unwinds
-            to the dispatcher only on a real miss."""
-            if runtime.options.link_indirect:
-                counter.cycles += ibl_lookup
-                fragment = runtime.current_thread.ibl.table.get(target)
-                if fragment is not None:
-                    stats.ibl_hits += 1
-                    observer = runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_IBL_HIT, target, fragment_kind=fragment.kind
-                        )
-                    entry = members_by_tag.get(target)
-                    if entry is not None and entry[0] is fragment:
-                        n = ex.instructions
-                        budget = ex._budget
-                        deadline = ex._deadline
-                        if (
-                            (budget is None or n <= budget)
-                            and not system.alarm_active
-                            and (deadline is None or n < deadline)
-                            and not runtime._need_reschedule
-                            and ex._profile_enter is None
-                        ):
-                            counter.cycles += fragment_entry
-                        else:
-                            cross(ex, fragment, 0)
-                        return entry[1]
-                    ex._next_fragment = fragment
-                    return None
-                stats.ibl_misses += 1
-                observer = runtime.observer
-                if observer is not None:
-                    observer.emit(EV_IBL_MISS, target)
-            ex._ibl_miss(stub, target, cpu, mem, system)
-
-        def override(op_index, op, nxt):
-            kind = op[0]
-
-            if kind == OP_COND_EXIT:
-                stub = exits[op[2]]
-                stitch = stitch_of(stub)
-                if stitch is None:
-                    return None
-                target, target_base = stitch
-                cond = compile_condition(op[1])
-                c = op[3]
-                c_taken = c + taken_penalty
-
-                def chained_cond_step(
-                    ex,
-                    cpu,
-                    _cond=cond,
-                    _stub=stub,
-                    _target=target,
-                    _tbase=target_base,
-                    _c=c,
-                    _ct=c_taken,
-                    _nxt=nxt,
-                ):
-                    n = ex.instructions + 1
-                    ex.instructions = n
-                    if _cond(cpu.eflags):
-                        if _stub.linked_to is _target:
-                            budget = ex._budget
-                            deadline = ex._deadline
-                            if (
-                                (budget is None or n <= budget)
-                                and not system.alarm_active
-                                and (deadline is None or n < deadline)
-                                and not runtime._need_reschedule
-                                and ex._profile_enter is None
-                            ):
-                                counter.cycles += _ct + fragment_entry
-                            else:
-                                cross(ex, _target, _ct)
-                            return _tbase
-                        counter.cycles += _ct
-                        ex._next_fragment = ex._direct_exit(
-                            _stub, cpu, mem, system
-                        )
-                        return None
-                    counter.cycles += _c
-                    return _nxt
-
-                return chained_cond_step
-
-            if kind == OP_JMP_EXIT:
-                stub = exits[op[1]]
-                stitch = stitch_of(stub)
-                if stitch is None:
-                    return None
-                target, target_base = stitch
-                c_taken = op[2] + taken_penalty
-
-                def chained_jmp_step(
-                    ex,
-                    cpu,
-                    _stub=stub,
-                    _target=target,
-                    _tbase=target_base,
-                    _ct=c_taken,
-                ):
-                    n = ex.instructions + 1
-                    ex.instructions = n
-                    if _stub.linked_to is _target:
-                        budget = ex._budget
-                        deadline = ex._deadline
-                        if (
-                            (budget is None or n <= budget)
-                            and not system.alarm_active
-                            and (deadline is None or n < deadline)
-                            and not runtime._need_reschedule
-                            and ex._profile_enter is None
-                        ):
-                            counter.cycles += _ct + fragment_entry
-                        else:
-                            cross(ex, _target, _ct)
-                        return _tbase
-                    counter.cycles += _ct
-                    ex._next_fragment = ex._direct_exit(
-                        _stub, cpu, mem, system
-                    )
-                    return None
-
-                return chained_jmp_step
-
-            if kind == OP_CALL_EXIT:
-                stub = exits[op[1]]
-                stitch = stitch_of(stub)
-                if stitch is None:
-                    return None
-                target, target_base = stitch
-                ret_addr = op[2]
-                c_taken = op[3] + taken_penalty
-
-                def chained_call_step(
-                    ex,
-                    cpu,
-                    _stub=stub,
-                    _target=target,
-                    _tbase=target_base,
-                    _ra=ret_addr,
-                    _ct=c_taken,
-                ):
-                    ex.instructions += 1
-                    # Charged before the push: the store may trip the
-                    # SMC write watcher, whose charges land after this
-                    # exit's in the generic engines too.
-                    counter.cycles += _ct
-                    regs = cpu.regs
-                    regs[4] = (regs[4] - 4) & _MASK32
-                    write_u32(regs[4], _ra)
-                    # Link re-read after the push — the store may have
-                    # just invalidated the baked target.
-                    if _stub.linked_to is _target:
-                        n = ex.instructions
-                        budget = ex._budget
-                        deadline = ex._deadline
-                        if (
-                            (budget is None or n <= budget)
-                            and not system.alarm_active
-                            and (deadline is None or n < deadline)
-                            and not runtime._need_reschedule
-                            and ex._profile_enter is None
-                        ):
-                            counter.cycles += fragment_entry
-                        else:
-                            cross(ex, _target, 0)
-                        return _tbase
-                    ex._next_fragment = ex._direct_exit(
-                        _stub, cpu, mem, system
-                    )
-                    return None
-
-                return chained_call_step
-
-            if kind == OP_IND_EXIT:
-                _k, exit_idx, operand, is_call, ret_addr, profiler, checker, c = op
-                stub = exits[exit_idx]
-                fetch = _compile_target_fetch(operand, mem)
-                c_taken = c + taken_penalty
-
-                def chained_ind_step(
-                    ex,
-                    cpu,
-                    _fetch=fetch,
-                    _stub=stub,
-                    _is_call=is_call,
-                    _ra=ret_addr,
-                    _profiler=profiler,
-                    _checker=checker,
-                    _ct=c_taken,
-                ):
-                    ex.instructions += 1
-                    target = _fetch(cpu)
-                    if _checker is not None:
-                        hook_call(ex, _checker, "checker", target)
-                    if _is_call:
-                        regs = cpu.regs
-                        regs[4] = (regs[4] - 4) & _MASK32
-                        write_u32(regs[4], _ra)
-                    counter.cycles += _ct
-                    if _profiler is not None:
-                        hook_call(ex, _profiler, "profiler", target)
-                    return resolve_indirect(ex, _stub, target, cpu)
-
-                return chained_ind_step
-
-            if kind == OP_IND_CHECK:
-                (
-                    _k,
-                    ibl_idx,
-                    operand,
-                    expected,
-                    dispatch,
-                    is_call,
-                    ret_addr,
-                    profiler,
-                    checker,
-                    c,
-                    check_cost,
-                ) = op
-                ibl_stub = exits[ibl_idx]
-                entries = []
-                for d_tag, d_idx in dispatch:
-                    d_stub = exits[d_idx]
-                    stitch = stitch_of(d_stub)
-                    if stitch is None:
-                        entries.append((d_tag, d_stub, None, 0))
-                    else:
-                        entries.append((d_tag, d_stub, stitch[0], stitch[1]))
-                dispatch_entries = tuple(entries)
-                fetch = _compile_target_fetch(operand, mem)
-
-                def chained_ind_check_step(
-                    ex,
-                    cpu,
-                    _fetch=fetch,
-                    _expected=expected,
-                    _dispatch=dispatch_entries,
-                    _ibl_stub=ibl_stub,
-                    _is_call=is_call,
-                    _ra=ret_addr,
-                    _profiler=profiler,
-                    _checker=checker,
-                    _c=c,
-                    _cc=check_cost,
-                    _nxt=nxt,
-                ):
-                    ex.instructions += 1
-                    target = _fetch(cpu)
-                    if _checker is not None:
-                        hook_call(ex, _checker, "checker", target)
-                    if _is_call:
-                        regs = cpu.regs
-                        regs[4] = (regs[4] - 4) & _MASK32
-                        write_u32(regs[4], _ra)
-                    counter.cycles += _c
-                    if target == _expected:
-                        stats.inline_check_hits += 1
-                        observer = runtime.observer
-                        if observer is not None:
-                            observer.emit(
-                                EV_INLINE_CHECK_HIT, tag, target=target
-                            )
-                        return _nxt
-                    matched = None
-                    for entry in _dispatch:
-                        counter.cycles += _cc
-                        if target == entry[0]:
-                            matched = entry
-                            break
-                    if matched is not None:
-                        stats.dispatch_check_hits += 1
-                        observer = runtime.observer
-                        if observer is not None:
-                            observer.emit(
-                                EV_DISPATCH_CHECK_HIT, tag, target=target
-                            )
-                        counter.cycles += taken_penalty
-                        d_stub = matched[1]
-                        d_target = matched[2]
-                        if d_target is not None and d_stub.linked_to is d_target:
-                            n = ex.instructions
-                            budget = ex._budget
-                            deadline = ex._deadline
-                            if (
-                                (budget is None or n <= budget)
-                                and not system.alarm_active
-                                and (deadline is None or n < deadline)
-                                and not runtime._need_reschedule
-                                and ex._profile_enter is None
-                            ):
-                                counter.cycles += fragment_entry
-                            else:
-                                cross(ex, d_target, 0)
-                            return matched[3]
-                        ex._next_fragment = ex._direct_exit(
-                            d_stub, cpu, mem, system
-                        )
-                        return None
-                    if _profiler is not None:
-                        hook_call(ex, _profiler, "profiler", target)
-                    counter.cycles += taken_penalty
-                    return resolve_indirect(ex, _ibl_stub, target, cpu)
-
-                return chained_ind_check_step
-
-            return None
-
-        return override

@@ -44,6 +44,7 @@ from repro.core.emit import (
     OP_JMP_EXIT,
     OP_LOCAL_BR,
 )
+from repro.core.fragments import LinkStub
 from repro.machine.cpu import compile_condition
 from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import compile_noncti, compile_read, read_operand
@@ -75,16 +76,6 @@ def _compile_target_fetch(operand, mem):
     if fetch is None:
         return lambda cpu: read_operand(cpu, mem, operand)
     return fetch
-
-
-# Op kinds the chain compiler may replace with stitched variants.
-EXIT_KINDS = (
-    OP_COND_EXIT,
-    OP_JMP_EXIT,
-    OP_CALL_EXIT,
-    OP_IND_EXIT,
-    OP_IND_CHECK,
-)
 
 
 def plan_fragment(code):
@@ -139,20 +130,59 @@ def compile_fragment(fragment, runtime):
     return compiled
 
 
-def compile_steps(fragment, runtime, base=0, exit_override=None):
+def _exit_clean_call(runtime, fn, role, tag, target):
+    """An indirect exit's checker or profiler clean call: its cost, the
+    stat, the event, then the call itself (routed through the client
+    guard when one is installed)."""
+    runtime.counter.cycles += CLEAN_CALL_COST
+    runtime.stats.clean_calls += 1
+    observer = runtime.observer
+    if observer is not None:
+        observer.emit(EV_CLEAN_CALL, tag, role=role, target=target)
+    guard = runtime.guard
+    if guard is None:
+        fn(runtime.current_thread, target)
+    else:
+        guard.call(fn, (runtime.current_thread, target), tag=tag, role=role)
+
+
+def compile_steps(
+    fragment,
+    runtime,
+    base=0,
+    base_of=None,
+    members_by_tag=None,
+    cross=None,
+    compile_segment=None,
+):
     """Compile ``fragment.code`` into a list of step closures.
 
-    ``base`` offsets every produced step index — the chain compiler
-    (:mod:`repro.core.chains`) concatenates several fragments' step
-    lists into one flat super-table, so intra-fragment transfers and
-    fall-throughs must address their member's slice of it.
+    This is the only place exit steps are built.  The arguments after
+    ``runtime`` are the chain compiler's (:mod:`repro.core.chains`)
+    data for one super-table build; the closure engine passes none.
 
-    ``exit_override(op_index, op, nxt)`` may return a replacement step
-    for any exit-kind op (``EXIT_KINDS``); returning ``None`` keeps the
-    generic step.  ``nxt`` is the (base-offset) fall-through step
-    index.  The generic steps are the single source of truth for exit
-    semantics; overrides only exist so chains can stitch linked exits
-    into direct step-index transfers.
+    * ``base`` offsets every produced step index: a chain concatenates
+      its members' step lists into one flat table, so intra-fragment
+      transfers and fall-throughs address their member's slice of it.
+    * ``base_of`` maps ``id(member)`` to the member's base.  A direct
+      exit (cond taken, jmp, call, dispatch-check hit) whose stub is
+      linked to a member bakes ``(target, base)``; at run time it
+      re-reads ``stub.linked_to is target`` and transfers inside the
+      table, else it leaves through ``Executor._direct_exit`` as usual.
+    * ``members_by_tag`` maps an application tag to ``(member, base)``:
+      an indirect exit whose IBL hit is that member jumps to its base.
+    * ``cross(ex, target, pending)`` is the fragment boundary a
+      stitched transfer performs instead of returning to
+      ``Executor.run``.  The common case (``ex._stitch_limit`` not
+      reached, no alarm, no reschedule) is open-coded in each exit
+      step as one counter update; ``cross`` derives the exact
+      charge/raise order in every other case.
+    * ``compile_segment(code, run, nxt)`` compiles an ``OP_EXEC`` run of
+      two or more instructions in place of the generic fused step.
+
+    Under ``options.precise_interrupts`` every poll-point step, whatever
+    built it, is wrapped exactly once by
+    :func:`~repro.core.translate.wrap_poll_steps`.
     """
     code = fragment.code
     exits = fragment.exits
@@ -161,6 +191,7 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
     counter = runtime.counter
     stats = runtime.stats
     taken_penalty = runtime.cost.taken_branch_penalty
+    fragment_entry = runtime.cost.fragment_entry
     write_u32 = mem.write_u32
     tag = fragment.tag
 
@@ -170,10 +201,28 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
     def next_step(op_index):
         return step_of.get(op_index, sentinel_index) + base
 
+    def stitch_of(stub):
+        """``(target, target_base)`` when ``stub`` is a stable direct
+        link to a chain member, else ``(None, 0)``."""
+        if (
+            base_of is None
+            or stub.kind != LinkStub.KIND_DIRECT
+            or stub.always_stub
+        ):
+            return None, 0
+        target = stub.linked_to
+        target_base = base_of.get(id(target))
+        if target_base is None:
+            return None, 0
+        return target, target_base
+
     steps = []
     for plan_kind, payload in plans:
         if plan_kind == "run":
             nxt = next_step(payload[-1] + 1)
+            if compile_segment is not None and len(payload) > 1:
+                steps.append(compile_segment(code, payload, nxt))
+                continue
             pairs = tuple(
                 (code[k][3], compile_noncti(code[k][1], code[k][2], mem, system))
                 for k in payload
@@ -214,23 +263,35 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
         kind = op[0]
         nxt = next_step(op_index + 1)
 
-        if exit_override is not None and kind in EXIT_KINDS:
-            custom = exit_override(op_index, op, nxt)
-            if custom is not None:
-                steps.append(custom)
-                continue
-
         if kind == OP_COND_EXIT:
             cond = compile_condition(op[1])
             stub = exits[op[2]]
-            c = op[3]
+            target, target_base = stitch_of(stub)
 
             def cond_exit_step(
-                ex, cpu, _cond=cond, _stub=stub, _c=c, _nxt=nxt
+                ex,
+                cpu,
+                _cond=cond,
+                _stub=stub,
+                _c=op[3],
+                _ct=op[3] + taken_penalty,
+                _nxt=nxt,
+                _target=target,
+                _tbase=target_base,
             ):
                 ex.instructions += 1
                 if _cond(cpu.eflags):
-                    counter.cycles += _c + taken_penalty
+                    if _target is not None and _stub.linked_to is _target:
+                        if (
+                            ex.instructions < ex._stitch_limit
+                            and not system.alarm_active
+                            and not runtime._need_reschedule
+                        ):
+                            counter.cycles += _ct + fragment_entry
+                        else:
+                            cross(ex, _target, _ct)
+                        return _tbase
+                    counter.cycles += _ct
                     ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
                     return None
                 counter.cycles += _c
@@ -240,11 +301,28 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
 
         elif kind == OP_JMP_EXIT:
             stub = exits[op[1]]
-            c = op[2]
+            target, target_base = stitch_of(stub)
 
-            def jmp_exit_step(ex, cpu, _stub=stub, _c=c):
+            def jmp_exit_step(
+                ex,
+                cpu,
+                _stub=stub,
+                _ct=op[2] + taken_penalty,
+                _target=target,
+                _tbase=target_base,
+            ):
                 ex.instructions += 1
-                counter.cycles += _c + taken_penalty
+                if _target is not None and _stub.linked_to is _target:
+                    if (
+                        ex.instructions < ex._stitch_limit
+                        and not system.alarm_active
+                        and not runtime._need_reschedule
+                    ):
+                        counter.cycles += _ct + fragment_entry
+                    else:
+                        cross(ex, _target, _ct)
+                    return _tbase
+                counter.cycles += _ct
                 ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
                 return None
 
@@ -252,15 +330,36 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
 
         elif kind == OP_CALL_EXIT:
             stub = exits[op[1]]
-            ret_addr = op[2]
-            c = op[3]
+            target, target_base = stitch_of(stub)
 
-            def call_exit_step(ex, cpu, _stub=stub, _ra=ret_addr, _c=c):
+            def call_exit_step(
+                ex,
+                cpu,
+                _stub=stub,
+                _ra=op[2],
+                _ct=op[3] + taken_penalty,
+                _target=target,
+                _tbase=target_base,
+            ):
                 ex.instructions += 1
-                counter.cycles += _c + taken_penalty
+                # Charged before the push: the store may trip the SMC
+                # write watcher, whose charges land after this exit's.
+                counter.cycles += _ct
                 regs = cpu.regs
                 regs[4] = (regs[4] - 4) & _MASK32
                 write_u32(regs[4], _ra)
+                # Link re-read after the push: the store may have just
+                # invalidated the baked target.
+                if _target is not None and _stub.linked_to is _target:
+                    if (
+                        ex.instructions < ex._stitch_limit
+                        and not system.alarm_active
+                        and not runtime._need_reschedule
+                    ):
+                        counter.cycles += fragment_entry
+                    else:
+                        cross(ex, _target, 0)
+                    return _tbase
                 ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
                 return None
 
@@ -284,67 +383,47 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
 
         elif kind == OP_IND_EXIT:
             _k, exit_idx, operand, is_call, ret_addr, profiler, checker, c = op
-            stub = exits[exit_idx]
-            fetch = _compile_target_fetch(operand, mem)
 
             def ind_exit_step(
                 ex,
                 cpu,
-                _fetch=fetch,
-                _stub=stub,
+                _fetch=_compile_target_fetch(operand, mem),
+                _stub=exits[exit_idx],
                 _is_call=is_call,
                 _ra=ret_addr,
                 _profiler=profiler,
                 _checker=checker,
-                _c=c,
+                _ct=c + taken_penalty,
                 _tag=tag,
+                _members=members_by_tag,
             ):
                 ex.instructions += 1
                 target = _fetch(cpu)
                 if _checker is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="checker", target=target
-                        )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _checker(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _checker,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="checker",
-                        )
+                    _exit_clean_call(runtime, _checker, "checker", _tag, target)
                 if _is_call:
                     regs = cpu.regs
                     regs[4] = (regs[4] - 4) & _MASK32
                     write_u32(regs[4], _ra)
-                counter.cycles += _c + taken_penalty
+                counter.cycles += _ct
                 if _profiler is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="profiler", target=target
-                        )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _profiler(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _profiler,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="profiler",
-                        )
-                ex._next_fragment = ex._indirect_exit(
-                    _stub, target, cpu, mem, system
-                )
+                    _exit_clean_call(
+                        runtime, _profiler, "profiler", _tag, target
+                    )
+                fragment = ex._indirect_exit(_stub, target, cpu, mem, system)
+                if _members is not None:
+                    member = _members.get(target)
+                    if member is not None and member[0] is fragment:
+                        if (
+                            ex.instructions < ex._stitch_limit
+                            and not system.alarm_active
+                            and not runtime._need_reschedule
+                        ):
+                            counter.cycles += fragment_entry
+                        else:
+                            cross(ex, fragment, 0)
+                        return member[1]
+                ex._next_fragment = fragment
                 return None
 
             steps.append(ind_exit_step)
@@ -363,19 +442,19 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
                 c,
                 check_cost,
             ) = op
-            ibl_stub = exits[ibl_idx]
-            dispatch_stubs = tuple(
-                (d_tag, exits[d_idx]) for d_tag, d_idx in dispatch
+            # (tag, stub, stitched target or None, target base) per entry.
+            dispatch_entries = tuple(
+                (d_tag, exits[d_idx]) + stitch_of(exits[d_idx])
+                for d_tag, d_idx in dispatch
             )
-            fetch = _compile_target_fetch(operand, mem)
 
             def ind_check_step(
                 ex,
                 cpu,
-                _fetch=fetch,
+                _fetch=_compile_target_fetch(operand, mem),
                 _expected=expected,
-                _dispatch=dispatch_stubs,
-                _ibl_stub=ibl_stub,
+                _dispatch=dispatch_entries,
+                _ibl_stub=exits[ibl_idx],
                 _is_call=is_call,
                 _ra=ret_addr,
                 _profiler=profiler,
@@ -384,27 +463,12 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
                 _check_cost=check_cost,
                 _nxt=nxt,
                 _tag=tag,
+                _members=members_by_tag,
             ):
                 ex.instructions += 1
                 target = _fetch(cpu)
                 if _checker is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="checker", target=target
-                        )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _checker(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _checker,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="checker",
-                        )
+                    _exit_clean_call(runtime, _checker, "checker", _tag, target)
                 if _is_call:
                     regs = cpu.regs
                     regs[4] = (regs[4] - 4) & _MASK32
@@ -412,48 +476,52 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
                 counter.cycles += _c
                 if target == _expected:
                     stats.inline_check_hits += 1
-                    observer = ex.runtime.observer
+                    observer = runtime.observer
                     if observer is not None:
                         observer.emit(EV_INLINE_CHECK_HIT, _tag, target=target)
                     return _nxt
-                matched = None
-                for d_tag, d_stub in _dispatch:
+                for d_tag, d_stub, d_target, d_base in _dispatch:
                     counter.cycles += _check_cost
-                    if target == d_tag:
-                        matched = d_stub
-                        break
-                if matched is not None:
+                    if target != d_tag:
+                        continue
                     stats.dispatch_check_hits += 1
-                    observer = ex.runtime.observer
+                    observer = runtime.observer
                     if observer is not None:
                         observer.emit(EV_DISPATCH_CHECK_HIT, _tag, target=target)
                     counter.cycles += taken_penalty
-                    ex._next_fragment = ex._direct_exit(
-                        matched, cpu, mem, system
-                    )
+                    if d_target is not None and d_stub.linked_to is d_target:
+                        if (
+                            ex.instructions < ex._stitch_limit
+                            and not system.alarm_active
+                            and not runtime._need_reschedule
+                        ):
+                            counter.cycles += fragment_entry
+                        else:
+                            cross(ex, d_target, 0)
+                        return d_base
+                    ex._next_fragment = ex._direct_exit(d_stub, cpu, mem, system)
                     return None
                 if _profiler is not None:
-                    counter.cycles += CLEAN_CALL_COST
-                    stats.clean_calls += 1
-                    observer = ex.runtime.observer
-                    if observer is not None:
-                        observer.emit(
-                            EV_CLEAN_CALL, _tag, role="profiler", target=target
-                        )
-                    guard = ex.runtime.guard
-                    if guard is None:
-                        _profiler(ex.runtime.current_thread, target)
-                    else:
-                        guard.call(
-                            _profiler,
-                            (ex.runtime.current_thread, target),
-                            tag=_tag,
-                            role="profiler",
-                        )
+                    _exit_clean_call(
+                        runtime, _profiler, "profiler", _tag, target
+                    )
                 counter.cycles += taken_penalty
-                ex._next_fragment = ex._indirect_exit(
+                fragment = ex._indirect_exit(
                     _ibl_stub, target, cpu, mem, system
                 )
+                if _members is not None:
+                    member = _members.get(target)
+                    if member is not None and member[0] is fragment:
+                        if (
+                            ex.instructions < ex._stitch_limit
+                            and not system.alarm_active
+                            and not runtime._need_reschedule
+                        ):
+                            counter.cycles += fragment_entry
+                        else:
+                            cross(ex, fragment, 0)
+                        return member[1]
+                ex._next_fragment = fragment
                 return None
 
             steps.append(ind_check_step)
@@ -513,8 +581,7 @@ def compile_steps(fragment, runtime, base=0, exit_override=None):
 
     if runtime.options.precise_interrupts and fragment.translation is not None:
         # Wrap the application-consistent steps with the interrupt poll
-        # (repro.core.translate) — after any exit_override so chains'
-        # stitched steps are wrapped uniformly with the generic ones.
+        # (repro.core.translate).
         from repro.core.translate import wrap_poll_steps
 
         wrap_poll_steps(fragment, runtime, plans, steps)

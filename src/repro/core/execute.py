@@ -17,20 +17,26 @@ The engine reads ``fragment.code`` once into a local — so a fragment
 replaced mid-execution (adaptive optimization) keeps running its old
 code until the next exit, exactly the paper's replacement semantics.
 
-Two interchangeable engines drive the op stream:
+Three interchangeable engines drive the op stream, selected by
+``options.engine``:
 
-* the **closure engine** (default, ``options.engine="closure"``)
-  runs the fragment's closure-compiled step table
-  (:mod:`repro.core.closures`) — each step has its operand accessors,
-  costs and link stubs pre-bound, so the loop is just
-  ``i = steps[i](self, cpu)``;
-* the **tuple engine** (``options.engine="tuple"``) interprets the
-  lowered op tuples directly (:meth:`Executor._run_ops`), kept as the
-  regression reference.
+* the **closure engine** (default, ``"closure"``) runs the fragment's
+  closure-compiled step table (:mod:`repro.core.closures`) — each step
+  has its operand accessors, costs and link stubs pre-bound, so the
+  loop is just ``i = steps[i](self, cpu)``;
+* the **chain engine** (``"chain"``) runs the same steps, concatenated
+  across hot linked fragments into one super-table
+  (:mod:`repro.core.chains`), so linked transfers and IBL hits on chain
+  members stay inside the step loop instead of returning here;
+* the **tuple engine** (``"tuple"``) interprets the lowered op tuples
+  directly (:meth:`Executor._run_ops`), kept as the regression
+  reference.
 
-Both charge cycles and update stats identically; the determinism tests
-assert bit-identical results across engines.
+All three charge cycles and update stats identically; the determinism
+tests assert bit-identical results across engines.
 """
+
+import sys
 
 from repro.core.emit import (
     CLEAN_CALL_COST,
@@ -90,6 +96,10 @@ class Executor:
         self._budget = None
         self._deadline = None
         self._profile_enter = None
+        # Stitched exit steps take the fused boundary while
+        # ``instructions < _stitch_limit`` (and no alarm or reschedule
+        # is pending); see run().
+        self._stitch_limit = -1
 
     # ------------------------------------------------------------ exit paths
 
@@ -135,6 +145,9 @@ class Executor:
         raise CacheExit(EXIT_DISPATCH, stub.target_tag, stub)
 
     def _indirect_exit(self, stub, target, cpu, mem, system):
+        """Leave through an indirect exit: returns the IBL hit, or runs
+        any stub code, charges the context switch and raises CacheExit
+        back to the dispatcher."""
         runtime = self.runtime
         stats = runtime.stats
         observer = runtime.observer
@@ -153,19 +166,11 @@ class Executor:
             stats.ibl_misses += 1
             if observer is not None:
                 observer.emit(EV_IBL_MISS, target)
-        self._ibl_miss(stub, target, cpu, mem, system)
-
-    def _ibl_miss(self, stub, target, cpu, mem, system):
-        """Unresolved indirect branch: run any stub code, charge the
-        context switch, and unwind to the dispatcher.  Always raises
-        CacheExit; shared with the chain compiler's in-step fast path
-        (which has already charged the lookup and counted the miss)."""
-        runtime = self.runtime
         counter = runtime.counter
         if stub is not None and stub.stub_ops:
             self._run_stub_ops(stub.stub_ops, cpu, mem, system, counter)
         counter.cycles += runtime.cost.context_switch
-        runtime.stats.context_switches += 1
+        stats.context_switches += 1
         observer = runtime.observer
         if observer is not None:
             observer.emit(
@@ -209,6 +214,16 @@ class Executor:
         self._budget = budget
         self._deadline = deadline
         self._profile_enter = profile_enter
+        # The budget and deadline tests of a boundary folded into one
+        # bound; -1 sends every boundary through cross() while the
+        # profiler samples passes.
+        if profile_enter is not None:
+            limit = -1
+        else:
+            limit = sys.maxsize if budget is None else budget + 1
+            if deadline is not None and deadline < limit:
+                limit = deadline
+        self._stitch_limit = limit
         # Chains are a multi-fragment construct: never entered when the
         # dispatcher needs control back after one fragment.
         chains = (

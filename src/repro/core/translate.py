@@ -35,11 +35,10 @@ deterministic latency bounded by the longest fused run (at most
 
 The same table drives all three engines so they stay bit-identical:
 
-* the tuple engine consults ``poll_ops`` at the top of its op loop;
-* the closure engine wraps exactly the poll-point steps with
-  :func:`make_poll_step` at compile time;
-* the chain compiler re-wraps its unrolled segment replacements at the
-  same plan indices (:func:`wrap_chain_segment`).
+* the tuple engine checks ``poll_ops`` at the top of its op loop;
+* closure and chain step tables are wrapped once, at compile time, by
+  :func:`wrap_poll_steps` (:func:`~repro.core.closures.compile_steps`
+  builds both).
 
 Polling is compiled in only under ``options.precise_interrupts``; the
 default configuration carries no polls and is bit-identical to the
@@ -180,15 +179,3 @@ def wrap_poll_steps(fragment, runtime, plans, steps):
                 runtime, pc, steps[plan_index]
             )
 
-
-def wrap_chain_segment(member, runtime, first_op, segment):
-    """Re-wrap one chain segment replacement: the chain compiler's
-    second pass overwrites run-plan steps with unrolled segments, which
-    must keep their poll if the run started at a poll point."""
-    translation = member.translation
-    if translation is None:
-        return segment
-    pc = translation.poll_ops.get(first_op)
-    if pc is None:
-        return segment
-    return make_poll_step(runtime, pc, segment)

@@ -8,8 +8,14 @@ shadowing — must dissolve the chains embedding the touched fragments.
 These tests drive each chokepoint against a *live* chain mid-run and
 assert (a) chains were actually built and then demoted, and (b) the
 run stays bit-identical to the tuple and plain-closure engines — the
-chain tier is wall-clock-only by contract.
+chain tier is wall-clock-only by contract.  Because a stitched exit
+charges the same cycles as an unstitched one, the last tests count
+host-side returns to the run loop to check, per exit kind, that hot
+exits really stay inside the chain.
 """
+
+import sys
+from collections import Counter
 
 from repro.api.client import Client
 from repro.api.dr import (
@@ -17,7 +23,9 @@ from repro.api.dr import (
     dr_insert_clean_call,
     dr_replace_fragment,
 )
+from repro.clients import IndirectBranchDispatch
 from repro.core import DynamoRIO, RuntimeOptions
+from repro.core.execute import Executor
 from repro.core.options import ENGINES
 from repro.ir.create import INSTR_CREATE_nop
 from repro.loader import Process
@@ -207,3 +215,84 @@ def test_trace_creation_demotes_bb_chains(loop_image):
     report = _chain_report(runtime)
     assert report["chains_built"] >= 1
     assert report["chains_invalidated"] >= 1
+
+
+# ------------------------------------------------ stitching per exit kind
+
+_RUN_LOOP = Executor.run.__code__
+# Matched against exit-step function names, most specific first.
+_EXIT_KIND_NAMES = ("ind_check", "cond", "jmp", "call", "ind")
+
+
+def _run_loop_returns(image, factory, engine, client=None, **overrides):
+    """Per exit kind, how many times an exit step handed control back to
+    the ``Executor.run`` loop (returned ``None`` or raised) instead of
+    transferring inside its step table."""
+    runtime = DynamoRIO(
+        Process(image),
+        options=_engine_options(factory, engine, **overrides),
+        client=client,
+        cost_model=CostModel(),
+    )
+    returns = Counter()
+
+    def profile(frame, event, arg):
+        if (
+            event == "return"
+            and arg is None
+            and frame.f_back is not None
+            and frame.f_back.f_code is _RUN_LOOP
+        ):
+            name = frame.f_code.co_name
+            for kind in _EXIT_KIND_NAMES:
+                if kind in name:
+                    returns[kind] += 1
+                    break
+
+    sys.setprofile(profile)
+    try:
+        runtime.run()
+    finally:
+        sys.setprofile(None)
+    return returns
+
+
+def _assert_stitched(kinds, image, factory, client=None, **overrides):
+    """Every listed exit kind is hot in the closure run (one return to
+    the run loop per pass) and stitched in the chain run.  A stitched
+    exit charges the same simulated cycles as an unstitched one, so
+    only the host-side control flow shows the difference."""
+    closure = _run_loop_returns(
+        image, factory, "closure",
+        client=client() if client is not None else None, **overrides
+    )
+    chain = _run_loop_returns(
+        image, factory, "chain",
+        client=client() if client is not None else None, **overrides
+    )
+    for kind in kinds:
+        assert closure[kind] >= 200, (kind, closure)
+        assert chain[kind] * 5 <= closure[kind], (kind, chain, closure)
+
+
+def test_direct_exits_and_ibl_member_hits_stitch(loop_image):
+    """The loop's taken ``cond`` back edge, its ``jmp``, the ``call`` of
+    ``mix`` and the ``ret`` back into the loop (an IBL hit on a chain
+    member) all stay inside the chain."""
+    _assert_stitched(
+        ("cond", "jmp", "call", "ind"),
+        loop_image, RuntimeOptions.with_indirect_links,
+    )
+
+
+def test_dispatch_check_hits_stitch(indirect_image):
+    """Trace-inlined dispatch checks (``indirect_dispatch``) that hit
+    transfer inside the chain.  The chain must be built after the
+    dispatch exits are linked, so this run promotes at the fifth pass
+    rather than the first."""
+    _assert_stitched(
+        ("ind_check",),
+        indirect_image, RuntimeOptions.with_traces,
+        client=lambda: IndirectBranchDispatch(sample_threshold=8),
+        chain_threshold=5, trace_threshold=5,
+    )
