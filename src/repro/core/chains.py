@@ -64,6 +64,7 @@ from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.cpu import _PARITY
 from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import compile_noncti
+from repro.machine.memory import pack_u8, pack_u32, unpack_u16, unpack_u32
 
 _MASK32 = 0xFFFFFFFF
 _M = "4294967295"  # _MASK32 as a source literal
@@ -127,6 +128,30 @@ def _ea_expr(op):
     )
 
 
+# Memory access in segment source reads and writes the backing buffer
+# directly when the address is in range (and, for stores, no write
+# protection or watch is armed, tested at store time); otherwise it
+# calls the Memory accessor, which performs the checks or raises its
+# own fault from the same source line.  ``_e`` holds the address.
+_LOAD = {
+    4: "(_u32(_buf, _e)[0] if (_e := %s) <= _last4 else read_u32(_e))",
+    2: "(_u16(_buf, _e)[0] if (_e := %s) <= _last2 else read_u16(_e))",
+    1: "(_buf[_e] if (_e := %s) <= _last1 else read_u8(_e))",
+}
+_STORE = {
+    4: "_p32(_buf, _e, %s & " + _M + ") if (_e := %s) <= _last4"
+       " and not _mem.checked_stores else write_u32(_e, %s)",
+    1: "_p8(_buf, _e, %s & 255) if (_e := %s) <= _last1"
+       " and not _mem.checked_stores else write_u8(_e, %s)",
+}
+
+
+def _store_expr(size, ea, value):
+    """Source expression storing the simple expression ``value``
+    (evaluated after the address) at address ``ea``."""
+    return _STORE[size] % (value, ea, value)
+
+
 def _read_expr(op):
     """Source expression for an operand read (zero-extended), or None
     — mirrors ``exec_ops.compile_read``."""
@@ -135,12 +160,7 @@ def _read_expr(op):
     if isinstance(op, ImmOperand):
         return str(op.value & _MASK32)
     if isinstance(op, MemOperand):
-        ea = _ea_expr(op)
-        if op.size == 4:
-            return "read_u32(%s)" % ea
-        if op.size == 2:
-            return "read_u16(%s)" % ea
-        return "read_u8(%s)" % ea
+        return _LOAD[op.size] % _ea_expr(op)
     return None
 
 
@@ -151,11 +171,9 @@ def _store_stmt(op, value_expr):
     read may fault; the address arithmetic cannot)."""
     if isinstance(op, RegOperand):
         return "regs[%d] = (%s) & %s" % (op.reg, value_expr, _M)
-    if isinstance(op, MemOperand):
-        if op.size == 4:
-            return "_t = %s; write_u32(%s, _t)" % (value_expr, _ea_expr(op))
-        if op.size == 1:
-            return "_t = %s; write_u8(%s, _t)" % (value_expr, _ea_expr(op))
+    if isinstance(op, MemOperand) and op.size in _STORE:
+        return "_t = %s; %s" % (
+            value_expr, _store_expr(op.size, _ea_expr(op), "_t"))
     return None
 
 
@@ -167,7 +185,8 @@ def _inline_instr(opcode, ops):
     Each template mirrors the corresponding ``exec_ops`` compiler —
     same value masking, same flags calls, same evaluation order — so
     faults and results are identical; the win is purely fewer Python
-    calls (no per-instruction closure, no operand-accessor thunks).
+    calls (no per-instruction closure, no operand-accessor thunks, no
+    ``Memory`` method call for an in-range load or unwatched store).
     Every instruction is exactly one source line (compound statements
     via ``;``), so a traceback line identifies the faulting
     instruction.
@@ -189,18 +208,14 @@ def _inline_instr(opcode, ops):
         if r is None:
             return None
         # Value read before moving esp (push %esp semantics).
-        return (
-            "_t = %s; _sp = (regs[4] - 4) & %s; regs[4] = _sp; "
-            "write_u32(_sp, _t)" % (r, _M)
-        )
+        return "_t = %s; regs[4] = (regs[4] - 4) & %s; %s" % (
+            r, _M, _store_expr(4, "regs[4]", "_t"))
     if opcode == Opcode.POP:
         store = _store_stmt(ops[0], "_t")
         if store is None:
             return None
-        return (
-            "_t = read_u32(regs[4]); regs[4] = (regs[4] + 4) & %s; %s"
-            % (_M, store)
-        )
+        return "_t = %s; regs[4] = (regs[4] + 4) & %s; %s" % (
+            _LOAD[4] % ("(regs[4] & %s)" % _M), _M, store)
     if opcode == Opcode.LEA:
         if not isinstance(ops[0], RegOperand) or not isinstance(
             ops[1], MemOperand
@@ -217,13 +232,10 @@ def _inline_instr(opcode, ops):
             if isinstance(src, ImmOperand):
                 return "regs[%d] = %d" % (d, src.value & _MASK32)
             if isinstance(src, MemOperand) and src.size == 4:
-                return "regs[%d] = read_u32(%s)" % (d, _ea_expr(src))
+                return "regs[%d] = %s" % (d, _read_expr(src))
         elif isinstance(dst, MemOperand) and dst.size == 4:
-            ea = _ea_expr(dst)
-            if isinstance(src, RegOperand):
-                return "write_u32(%s, regs[%d])" % (ea, src.reg)
-            if isinstance(src, ImmOperand):
-                return "write_u32(%s, %d)" % (ea, src.value & _MASK32)
+            if isinstance(src, (RegOperand, ImmOperand)):
+                return _store_expr(4, _ea_expr(dst), _read_expr(src))
         r = _read_expr(src)
         if r is None:
             return None
@@ -565,12 +577,12 @@ class ChainManager:
         """Compile one fused OP_EXEC run into an inline-semantics step.
 
         The closure engine's fused step pays a loop iteration, a tuple
-        unpack, two counter increments and one closure call (plus its
-        operand-accessor thunks) per instruction.  Here the run becomes
-        straight-line generated source: recognized opcode/operand
-        shapes are translated to inline Python mirroring their
-        ``exec_ops`` compilers (register file and memory accessors
-        bound as locals, same masking, same flags calls, same
+        unpack, two counter increments and one closure call per
+        instruction.  Here the run becomes straight-line generated
+        source: recognized opcode/operand shapes are translated to
+        inline Python mirroring their ``exec_ops`` compilers (register
+        file as a local; memory buffer, ``struct`` primitives and
+        accessors as globals; same masking, same flags calls, same
         evaluation order), unrecognized shapes fall back to a direct
         call of their compiled closure, and cycles/instructions land in
         one batched update at the end.
@@ -599,6 +611,15 @@ class ChainManager:
             "read_u8": mem.read_u8,
             "write_u32": mem.write_u32,
             "write_u8": mem.write_u8,
+            "_mem": mem,
+            "_buf": mem.view(),
+            "_u32": unpack_u32,
+            "_u16": unpack_u16,
+            "_p32": pack_u32,
+            "_p8": pack_u8,
+            "_last4": mem.size - 4,
+            "_last2": mem.size - 2,
+            "_last1": mem.size - 1,
             "_parity": _PARITY,
         }
         lines = [

@@ -10,9 +10,18 @@ else — data movement, arithmetic, stack ops, syscalls — is executed by
 :class:`~repro.machine.system.System`.
 """
 
+from struct import error as _StructError
+
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.errors import MachineFault
+from repro.machine.memory import (
+    pack_u8,
+    pack_u32,
+    unpack_u8,
+    unpack_u16,
+    unpack_u32,
+)
 
 _MASK32 = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -198,13 +207,24 @@ def execute_noncti(cpu, mem, system, opcode, ops):
 #
 # ``compile_noncti(opcode, ops, mem, system)`` specializes one decoded
 # instruction into a Python closure ``fn(cpu)`` with its operand
-# accessors (register index, immediate value, effective-address thunk)
-# and flag helpers bound in.  Both executors call these from their hot
-# loops, so per-dynamic-instruction work drops from "tuple unpack +
-# opcode dispatch + isinstance chains" to a single call.  Semantics are
+# accessors (register index, immediate value, memory access) and flag
+# helpers bound in.  Both executors call these from their hot loops, so
+# per-dynamic-instruction work drops from "tuple unpack + opcode
+# dispatch + isinstance chains" to a single call.  Semantics are
 # bit-identical to execute_noncti by construction; any operand form the
 # compiler does not recognize falls back to a closure that simply calls
 # execute_noncti.
+#
+# Memory access in the common one-register forms ``[base+disp]`` and
+# ``[index*scale+disp]``, and the stack slot of push/pop, is *fused*:
+# the closure computes the address inline and unpacks/packs the
+# ``Memory.view()`` buffer itself.  Only when the buffer raises (the
+# access runs past memory) does it call the ``Memory`` accessor, which
+# raises its own fault.  A fused store tests ``mem.checked_stores`` on
+# every store, never at compile time (a watch or protection can be
+# armed after the closure is built), and goes through the accessor
+# while one is armed.  Other address forms use an effective-address
+# thunk ``compile_ea(op)`` and the accessor.
 # --------------------------------------------------------------------------
 
 
@@ -228,6 +248,18 @@ def compile_ea(op):
     ) & _MASK32
 
 
+def _fused(op):
+    """``(reg, scale, disp)`` for a one-register ``[reg*scale+disp]``
+    operand (``[base+disp]`` has scale 1), else ``None``."""
+    if op.index is None:
+        if op.base is None:
+            return None
+        return op.base, 1, op.disp
+    if op.base is None:
+        return op.index, op.scale, op.disp
+    return None
+
+
 def compile_read(op, mem):
     """Compile an operand read: fn(cpu) -> zero-extended value."""
     if isinstance(op, RegOperand):
@@ -237,14 +269,27 @@ def compile_read(op, mem):
         value = op.value & _MASK32
         return lambda cpu: value
     if isinstance(op, MemOperand):
-        ea = compile_ea(op)
         if op.size == 4:
-            read = mem.read_u32
+            read, unpack = mem.read_u32, unpack_u32
         elif op.size == 2:
-            read = mem.read_u16
+            read, unpack = mem.read_u16, unpack_u16
         else:
-            read = mem.read_u8
-        return lambda cpu: read(ea(cpu))
+            read, unpack = mem.read_u8, unpack_u8
+        fused = _fused(op)
+        if fused is None:
+            ea = compile_ea(op)
+            return lambda cpu: read(ea(cpu))
+        reg, scale, disp = fused
+        buf = mem.view()
+
+        def load(cpu):
+            addr = (disp + cpu.regs[reg] * scale) & _MASK32
+            try:
+                return unpack(buf, addr)[0]
+            except _StructError:
+                return read(addr)  # raises the accessor's fault
+
+        return load
     return None
 
 
@@ -258,14 +303,30 @@ def compile_write(op, mem):
 
         return write_reg
     if isinstance(op, MemOperand):
-        ea = compile_ea(op)
         if op.size == 4:
-            write = mem.write_u32
+            write, pack, mask = mem.write_u32, pack_u32, _MASK32
         elif op.size == 1:
-            write = mem.write_u8
+            write, pack, mask = mem.write_u8, pack_u8, 0xFF
         else:
             return None  # 2-byte stores are not part of RIO-32
-        return lambda cpu, value: write(ea(cpu), value)
+        fused = _fused(op)
+        if fused is None:
+            ea = compile_ea(op)
+            return lambda cpu, value: write(ea(cpu), value)
+        reg, scale, disp = fused
+        buf = mem.view()
+
+        def store(cpu, value):
+            addr = (disp + cpu.regs[reg] * scale) & _MASK32
+            if mem.checked_stores:
+                write(addr, value)
+                return
+            try:
+                pack(buf, addr, value & mask)
+            except _StructError:
+                write(addr, value)  # raises the accessor's fault
+
+        return store
     return None
 
 
@@ -290,17 +351,49 @@ def _comp_mov(ops, mem, system):
 
             return mov_ri
         if isinstance(src, MemOperand) and src.size == 4:
-            # Load: collapse the read/write thunk composition.
-            ea = compile_ea(src)
             read = mem.read_u32
+            fused = _fused(src)
+            if fused is None:
+                ea = compile_ea(src)
+
+                def mov_rm(cpu):
+                    cpu.regs[d] = read(ea(cpu))
+
+                return mov_rm
+            # Fused load: address, unpack and register write in one call.
+            reg, scale, disp = fused
+            buf = mem.view()
 
             def mov_rm(cpu):
-                cpu.regs[d] = read(ea(cpu))
+                regs = cpu.regs
+                addr = (disp + regs[reg] * scale) & _MASK32
+                try:
+                    regs[d] = unpack_u32(buf, addr)[0]
+                except _StructError:
+                    regs[d] = read(addr)  # raises the accessor's fault
 
             return mov_rm
     elif isinstance(dst, MemOperand) and dst.size == 4:
-        ea = compile_ea(dst)
         write = mem.write_u32
+        fused = _fused(dst)
+        if isinstance(src, RegOperand) and fused is not None:
+            reg, scale, disp = fused
+            buf = mem.view()
+            s = src.reg
+
+            def mov_mr(cpu):
+                regs = cpu.regs
+                addr = (disp + regs[reg] * scale) & _MASK32
+                if mem.checked_stores:
+                    write(addr, regs[s])
+                    return
+                try:
+                    pack_u32(buf, addr, regs[s] & _MASK32)
+                except _StructError:
+                    write(addr, regs[s])  # raises the accessor's fault
+
+            return mov_mr
+        ea = compile_ea(dst)
         if isinstance(src, RegOperand):
             s = src.reg
 
@@ -549,6 +642,7 @@ def _comp_push(ops, mem, system):
     r = compile_read(ops[0], mem)
     if r is None:
         return None
+    buf = mem.view()
     write_u32 = mem.write_u32
 
     def push(cpu):
@@ -556,7 +650,13 @@ def _comp_push(ops, mem, system):
         regs = cpu.regs
         sp = (regs[4] - 4) & _MASK32
         regs[4] = sp
-        write_u32(sp, value)
+        if mem.checked_stores:
+            write_u32(sp, value)
+            return
+        try:
+            pack_u32(buf, sp, value & _MASK32)
+        except _StructError:
+            write_u32(sp, value)  # raises the accessor's fault
 
     return push
 
@@ -565,12 +665,17 @@ def _comp_pop(ops, mem, system):
     w = compile_write(ops[0], mem)
     if w is None:
         return None
+    buf = mem.view()
     read_u32 = mem.read_u32
 
     def pop(cpu):
         regs = cpu.regs
-        value = read_u32(regs[4])
-        regs[4] = (regs[4] + 4) & _MASK32
+        sp = regs[4] & _MASK32
+        try:
+            value = unpack_u32(buf, sp)[0]
+        except _StructError:
+            value = read_u32(sp)  # raises the accessor's fault
+        regs[4] = (sp + 4) & _MASK32
         w(cpu, value)
 
     return pop

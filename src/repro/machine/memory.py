@@ -9,9 +9,24 @@ memory).  Optional write protection catches a client or runtime bug that
 scribbles over application code.
 """
 
+import struct
+
 from repro.machine.errors import MachineFault
 
 _MASK32 = 0xFFFFFFFF
+
+# Prebound little-endian primitives, shared with the fused loads and
+# stores of repro.machine.exec_ops.  Each raises ``struct.error`` when
+# the access runs past the end of the buffer (or a value is out of
+# range).
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+unpack_u8 = _U8.unpack_from
+unpack_u16 = _U16.unpack_from
+unpack_u32 = _U32.unpack_from
+pack_u8 = _U8.pack_into
+pack_u32 = _U32.pack_into
 
 # Write-watch granularity: watched address ranges are rounded out to
 # 64-byte lines, so the per-write fast path is one set-membership test.
@@ -61,6 +76,10 @@ class Memory:
         # path pays a single attribute test, mirroring ``_protect``.
         self._watch_pages = None
         self._watchers = ()
+        # True once protection or write watching is armed.  Compiled
+        # fused stores test it on every store and, when set, go through
+        # write_u8/write_u32 so the checks run at store time.
+        self.checked_stores = False
         # Optional fault-context provider (``fn() -> app PC or None``),
         # consulted on error paths only: raised faults then blame the
         # application instruction that performed the access.
@@ -98,6 +117,7 @@ class Memory:
     def set_protection(self, enabled):
         """Enable/disable write-protection checks (off = fast path)."""
         self._protect = bool(enabled)
+        self.checked_stores = self._protect or self._watch_pages is not None
 
     def set_fault_context(self, fn):
         """Register a fault-context provider: ``fn()`` returns the
@@ -122,17 +142,27 @@ class Memory:
         return " (%s)" % ", ".join(parts) if parts else ""
 
     def _check_write(self, addr, size):
-        region = self.region_containing(addr)
-        if region is not None and not region.writable:
-            raise MachineFault(
-                "write of %d bytes to read-only region %s at 0x%x%s"
-                % (
-                    size,
-                    region.name,
-                    addr,
-                    self._fault_detail(addr, with_region=False),
+        """Fault if ``[addr, addr+size)`` touches any read-only region.
+
+        A store running past memory is left to fault as such."""
+        end = addr + size
+        if end > self.size:
+            return
+        for region in self._regions.values():
+            if (
+                not region.writable
+                and region.start < end
+                and addr < region.start + region.size
+            ):
+                raise MachineFault(
+                    "write of %d bytes to read-only region %s at 0x%x%s"
+                    % (
+                        size,
+                        region.name,
+                        addr,
+                        self._fault_detail(addr, with_region=False),
+                    )
                 )
-            )
 
     # --------------------------------------------------------- write watching
 
@@ -145,11 +175,13 @@ class Memory:
         self._watchers = self._watchers + (fn,)
         if self._watch_pages is None:
             self._watch_pages = set()
+        self.checked_stores = True
 
     def watch_range(self, start, end):
         """Watch writes touching ``[start, end)`` (rounded out to lines)."""
         if self._watch_pages is None:
             self._watch_pages = set()
+        self.checked_stores = True
         self._watch_pages.update(
             range(start >> WATCH_SHIFT, ((end - 1) >> WATCH_SHIFT) + 1)
         )
@@ -159,58 +191,65 @@ class Memory:
             fn(addr, size)
 
     # ------------------------------------------------------------- accessors
+    #
+    # The fixed-width accessors let the buffer do the bounds check: a
+    # prebound ``struct`` call raises ``struct.error`` and an index
+    # raises ``IndexError`` past the end, and only then is the fault
+    # message built.  ``addr &= _MASK32`` must stay: ``unpack_from`` and
+    # indexing both count a negative offset from the end of the buffer.
+    # Stores never use an unchecked slice, which would grow the buffer.
+
+    def _read_fault(self, addr):
+        raise MachineFault(
+            "read past memory at 0x%x%s" % (addr, self._fault_detail(addr))
+        ) from None
+
+    def _write_fault(self, addr):
+        raise MachineFault(
+            "write past memory at 0x%x%s" % (addr, self._fault_detail(addr))
+        ) from None
 
     def read_u8(self, addr):
         addr &= _MASK32
-        if addr >= self.size:
-            raise MachineFault(
-                "read past memory at 0x%x%s"
-                % (addr, self._fault_detail(addr))
-            )
-        return self._bytes[addr]
+        try:
+            return self._bytes[addr]
+        except IndexError:
+            self._read_fault(addr)
 
     def read_u16(self, addr):
         addr &= _MASK32
-        if addr + 2 > self.size:
-            raise MachineFault(
-                "read past memory at 0x%x%s"
-                % (addr, self._fault_detail(addr))
-            )
-        return int.from_bytes(self._bytes[addr : addr + 2], "little")
+        try:
+            return unpack_u16(self._bytes, addr)[0]
+        except struct.error:
+            self._read_fault(addr)
 
     def read_u32(self, addr):
         addr &= _MASK32
-        if addr + 4 > self.size:
-            raise MachineFault(
-                "read past memory at 0x%x%s"
-                % (addr, self._fault_detail(addr))
-            )
-        return int.from_bytes(self._bytes[addr : addr + 4], "little")
+        try:
+            return unpack_u32(self._bytes, addr)[0]
+        except struct.error:
+            self._read_fault(addr)
 
     def write_u8(self, addr, value):
         addr &= _MASK32
-        if addr >= self.size:
-            raise MachineFault(
-                "write past memory at 0x%x%s"
-                % (addr, self._fault_detail(addr))
-            )
         if self._protect:
             self._check_write(addr, 1)
-        self._bytes[addr] = value & 0xFF
+        try:
+            self._bytes[addr] = value & 0xFF
+        except IndexError:
+            self._write_fault(addr)
         pages = self._watch_pages
         if pages is not None and (addr >> WATCH_SHIFT) in pages:
             self._notify_write(addr, 1)
 
     def write_u32(self, addr, value):
         addr &= _MASK32
-        if addr + 4 > self.size:
-            raise MachineFault(
-                "write past memory at 0x%x%s"
-                % (addr, self._fault_detail(addr))
-            )
         if self._protect:
             self._check_write(addr, 4)
-        self._bytes[addr : addr + 4] = (value & _MASK32).to_bytes(4, "little")
+        try:
+            pack_u32(self._bytes, addr, value & _MASK32)
+        except struct.error:
+            self._write_fault(addr)
         pages = self._watch_pages
         if pages is not None and (
             (addr >> WATCH_SHIFT) in pages
@@ -221,19 +260,13 @@ class Memory:
     def read_bytes(self, addr, n):
         addr &= _MASK32
         if addr + n > self.size:
-            raise MachineFault(
-                "read past memory at 0x%x%s"
-                % (addr, self._fault_detail(addr))
-            )
+            self._read_fault(addr)
         return bytes(self._bytes[addr : addr + n])
 
     def write_bytes(self, addr, data):
         addr &= _MASK32
         if addr + len(data) > self.size:
-            raise MachineFault(
-                "write past memory at 0x%x%s"
-                % (addr, self._fault_detail(addr))
-            )
+            self._write_fault(addr)
         if self._protect:
             self._check_write(addr, len(data))
         self._bytes[addr : addr + len(data)] = data
@@ -245,5 +278,11 @@ class Memory:
                 self._notify_write(addr, len(data))
 
     def view(self):
-        """The raw backing bytearray (for the decoder's fast paths)."""
+        """The raw backing bytearray.
+
+        The decoder's fast paths and the fused loads and stores that
+        :mod:`repro.machine.exec_ops` compiles read (and, when
+        :attr:`checked_stores` is false, write) it directly, so it is
+        created once and never replaced or resized.
+        """
         return self._bytes

@@ -17,19 +17,25 @@ exits really stay inside the chain.
 import sys
 from collections import Counter
 
+import pytest
+
 from repro.api.client import Client
 from repro.api.dr import (
     dr_decode_fragment,
     dr_insert_clean_call,
     dr_replace_fragment,
 )
+from repro.asm import CodeBuilder, mem
 from repro.clients import IndirectBranchDispatch
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.core.execute import Executor
 from repro.core.options import ENGINES
 from repro.ir.create import INSTR_CREATE_nop
+from repro.isa.registers import Reg
 from repro.loader import Process
+from repro.loader.process import Layout
 from repro.machine.cost import CostModel
+from repro.machine.errors import MachineFault
 from repro.tools.chaos import build_smc_image
 
 
@@ -159,6 +165,69 @@ def test_replace_fragment_demotes_live_chains(loop_image, loop_native):
     assert report["chains_built"] >= 1
     assert report["chains_invalidated"] >= 1
     assert result.output == loop_native.output
+
+
+# ------------------------------------------------ inline memory access
+
+def _walker_image(load_first):
+    """A hot loop of ``[ebx+disp]`` stores and loads plus a push/pop
+    pair, walking ``ebx`` up until one access runs past the end of
+    memory in the middle of a chain segment."""
+    b = CodeBuilder(base=0x1000)
+    b.label("main")
+    b.mov(Reg.EBX, Layout.MEMORY_SIZE - 0x2000)
+    b.mov(Reg.ESI, 0)
+    b.label("loop")
+    b.add(Reg.ESI, 3)
+    if load_first:
+        b.mov(Reg.EDX, mem(base=Reg.EBX, disp=12))
+    b.mov(mem(base=Reg.EBX, disp=8), Reg.ESI)
+    b.push(Reg.EBX)
+    b.cmp(Reg.ESI, 0)
+    b.jz("loop")  # never taken: splits the loop into two linked blocks
+    b.mov(Reg.EDX, mem(base=Reg.EBX, disp=8))
+    b.pop(Reg.ECX)
+    b.add(Reg.EBX, 4)
+    b.add(Reg.ESI, Reg.EDX)
+    b.jmp("loop")
+    return b.image(entry="main")
+
+
+@pytest.mark.parametrize("load_first", [False, True])
+def test_mid_segment_memory_fault_matches_every_engine(load_first):
+    """Chain segments read and write the buffer inline.  A watch on the
+    last lines of memory must still see every store into them, and the
+    access that runs past memory must still raise the accessor's fault,
+    with the same cycle and instruction totals as the per-instruction
+    engines."""
+    image = _walker_image(load_first)
+    outcomes = {}
+    for engine in ENGINES:
+        process = Process(image)
+        watched = []
+        process.memory.add_write_watcher(
+            lambda addr, size: watched.append((addr, size)))
+        process.memory.watch_range(
+            Layout.MEMORY_SIZE - 0x100, Layout.MEMORY_SIZE)
+        runtime = DynamoRIO(
+            process,
+            options=_engine_options(RuntimeOptions.with_direct_links, engine),
+            cost_model=CostModel(),
+        )
+        with pytest.raises(MachineFault) as exc:
+            runtime.run()
+        outcomes[engine] = (
+            str(exc.value),
+            runtime.counter.cycles,
+            runtime.executor.instructions,
+            watched,
+        )
+    assert _chain_report(runtime)["chains_built"] >= 1
+    message, _, _, watched = outcomes["chain"]
+    assert message.startswith(
+        "%s past memory at 0x2000000" % ("read" if load_first else "write"))
+    assert len(watched) > 32
+    assert outcomes["closure"] == outcomes["chain"] == outcomes["tuple"]
 
 
 # ------------------------------------------------------- SMC chokepoint
