@@ -23,11 +23,17 @@ Three interchangeable engines drive the op stream, selected by
 * the **closure engine** (default, ``"closure"``) runs the fragment's
   closure-compiled step table (:mod:`repro.core.closures`) — each step
   has its operand accessors, costs and link stubs pre-bound, so the
-  loop is just ``i = steps[i](self, cpu)``;
+  loop is just ``i = steps[i](self, cpu)``.  The loop counts each
+  fragment's passes in ``fragment.pass_counter``; the pass that
+  reaches ``options.chain_threshold`` first swaps in the fragment's
+  tier-2 table, whose straight-line runs are generated source (traces
+  only, while ``options.traces`` is on);
 * the **chain engine** (``"chain"``) runs the same steps, concatenated
   across hot linked fragments into one super-table
   (:mod:`repro.core.chains`), so linked transfers and IBL hits on chain
-  members stay inside the step loop instead of returning here;
+  members stay inside the step loop instead of returning here.  It
+  promotes fragment tables the same way, and keeps counting to try a
+  chain build every ``chain_threshold`` passes;
 * the **tuple engine** (``"tuple"``) interprets the lowered op tuples
   directly (:meth:`Executor._run_ops`), kept as the regression
   reference.
@@ -224,6 +230,14 @@ class Executor:
             if deadline is not None and deadline < limit:
                 limit = deadline
         self._stitch_limit = limit
+        # Passes before a fragment's table tiers up (and, under the
+        # chain engine, between chain builds).
+        threshold = runtime.options.chain_threshold
+        # With trace building on, traces are the hot representation: a
+        # block reaches the threshold just as the trace through it
+        # forms (both thresholds default to 20) and is then superseded,
+        # so only traces tier up.
+        promote_bbs = not runtime.options.traces
         # Chains are a multi-fragment construct: never entered when the
         # dispatcher needs control back after one fragment.
         chains = (
@@ -260,18 +274,27 @@ class Executor:
                     # Step table read once — a fragment replaced
                     # mid-execution keeps running its old steps until
                     # the next exit, like the tuple engine with `code`.
-                    if chains is not None:
-                        steps = fragment.chain
+                    steps = fragment.chain if chains is not None else None
+                    if steps is None:
+                        count = fragment.pass_counter
+                        if count < threshold or chains is not None:
+                            # Tier-up: the pass that reaches the
+                            # threshold runs the fragment's table
+                            # rebuilt with generated-source segments.
+                            # The chain engine keeps counting and tries
+                            # to stitch every `threshold` passes.
+                            count += 1
+                            fragment.pass_counter = count
+                            if count == threshold and (
+                                promote_bbs or fragment.is_trace
+                            ):
+                                compile_fragment(fragment, runtime, hot=True)
+                            if chains is not None and not count % threshold:
+                                steps = chains.stitch(fragment)
                         if steps is None:
-                            steps = chains.note_pass(fragment)
+                            steps = fragment.compiled
                             if steps is None:
-                                steps = fragment.compiled
-                                if steps is None:
-                                    steps = compile_fragment(fragment, runtime)
-                    else:
-                        steps = fragment.compiled
-                        if steps is None:
-                            steps = compile_fragment(fragment, runtime)
+                                steps = compile_fragment(fragment, runtime)
                     self._next_fragment = None
                     i = 0
                     while i is not None:

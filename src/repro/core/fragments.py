@@ -69,7 +69,7 @@ class Fragment:
         "compiled",
         "source_spans",
         "chain",
-        "chain_counter",
+        "pass_counter",
         "chains_in",
         "translation",
     )
@@ -99,19 +99,25 @@ class Fragment:
         self.deleted = False
         self.generation = 0
         # Closure-compiled step table (repro.core.closures); built when
-        # the fragment is emitted under a runtime, lazily otherwise.
+        # the fragment is emitted under a runtime, lazily otherwise, and
+        # rebuilt with generated-source segments once the fragment is
+        # hot (``pass_counter`` reaching ``options.chain_threshold``;
+        # see Executor.run for which fragments tier up).
         self.compiled = None
         # Application-code byte ranges this fragment was translated
         # from: tuple of (start, end) pairs.  Registered with the
         # cache-consistency region map when options.cache_consistency is
         # on; traces carry the union of their constituent blocks' spans.
         self.source_spans = ()
+        # Passes Executor.run has started in this fragment's own table
+        # (counting stops at the promotion threshold unless the chain
+        # engine is on).
+        self.pass_counter = 0
         # Chain compiler (repro.core.chains): the stitched super-table
-        # rooted at this fragment, the hot-pass promotion counter, and
-        # the chain records whose tables embed this fragment's steps
-        # (back-pointers for invalidation at unlink chokepoints).
+        # rooted at this fragment and the chain records whose tables
+        # embed this fragment's steps (back-pointers for invalidation
+        # at unlink chokepoints).
         self.chain = None
-        self.chain_counter = 0
         self.chains_in = []
         # Execution-point -> application-PC map (repro.core.translate):
         # built at emit time, drives mid-fragment signal delivery and

@@ -96,15 +96,20 @@ class RuntimeOptions:
         # drives fragments through their closure-compiled step tables
         # (repro.core.closures); "tuple" interprets the lowered op
         # tuples, kept as the differential reference.  "chain" adds the
-        # chain compiler ("second-tier JIT", repro.core.chains): after
-        # chain_threshold executions, a fragment whose direct exits are
-        # linked is stitched together with its linked successors into
-        # one flat step super-table — hot linked chains then run
-        # without returning to Executor.run between fragments, and
-        # indirect branches resolve through an in-step IBL fast path.
-        # Wall-clock only: simulated cycles, stats, and events are
-        # bit-identical across all three.
+        # chain compiler (repro.core.chains): a hot fragment whose
+        # direct exits are linked is stitched together with its linked
+        # successors into one flat step super-table — hot linked chains
+        # then run without returning to Executor.run between fragments,
+        # and indirect branches resolve through an in-step IBL fast
+        # path.  Wall-clock only: simulated cycles, stats, and events
+        # are bit-identical across all three.
         self.engine = engine
+        # The tier-2 promotion threshold: on its chain_threshold-th pass
+        # a fragment's step table is rebuilt with generated-source
+        # segments (closure and chain engines; traces only while traces
+        # is on); the chain engine also tries to stitch a chain every
+        # chain_threshold passes.  An int >= 1, as is
+        # chain_max_fragments (members per chain).
         self.chain_threshold = chain_threshold
         self.chain_max_fragments = chain_max_fragments
         # Observability (repro.observe): record typed runtime events

@@ -73,6 +73,10 @@ class DynamoRIO:
             raise ValueError(
                 "unknown cache_evict_policy %r" % (self.options.cache_evict_policy,)
             )
+        for name in ("chain_threshold", "chain_max_fragments"):
+            value = getattr(self.options, name)
+            if type(value) is not int or value < 1:
+                raise ValueError("%s must be an int >= 1, not %r" % (name, value))
         self.client = client
         self.cost = cost_model if cost_model is not None else CostModel()
         self.system = System()

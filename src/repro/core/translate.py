@@ -18,9 +18,9 @@ execution points back to source application PCs:
   plan_fragment`'s fusion plan) whose first op is anchored to a source
   PC.  At entry to such a step the engine holds **no in-flight state**:
   every preceding instruction's registers, flags, memory effects and
-  cycle charges are committed (fused runs and chain segments flush
+  cycle charges are committed (fused runs and generated segments flush
   their batched charges before unwinding — the traceback-line
-  machinery in :meth:`~repro.core.chains.ChainManager._compile_segment`
+  machinery in :func:`~repro.core.closures.compile_segment`
   guarantees it on the fault path too), so the machine state *is* the
   application state at that PC.
 

@@ -195,14 +195,17 @@ def _walker_image(load_first):
 
 @pytest.mark.parametrize("load_first", [False, True])
 def test_mid_segment_memory_fault_matches_every_engine(load_first):
-    """Chain segments read and write the buffer inline.  A watch on the
-    last lines of memory must still see every store into them, and the
-    access that runs past memory must still raise the accessor's fault,
-    with the same cycle and instruction totals as the per-instruction
-    engines."""
+    """Segments read and write the buffer inline, in chains and in
+    promoted closure tables alike.  A watch on the last lines of memory
+    must still see every store into them, and the access that runs
+    past memory must still raise the accessor's fault, with the same
+    cycle and instruction totals as the per-instruction engines and a
+    closure table that never promotes."""
     image = _walker_image(load_first)
     outcomes = {}
-    for engine in ENGINES:
+    in_segment = {}
+    runs = [(engine, 1) for engine in ENGINES] + [("closure", 10**9)]
+    for engine, threshold in runs:
         process = Process(image)
         watched = []
         process.memory.add_write_watcher(
@@ -211,23 +214,39 @@ def test_mid_segment_memory_fault_matches_every_engine(load_first):
             Layout.MEMORY_SIZE - 0x100, Layout.MEMORY_SIZE)
         runtime = DynamoRIO(
             process,
-            options=_engine_options(RuntimeOptions.with_direct_links, engine),
+            options=_engine_options(
+                RuntimeOptions.with_direct_links, engine,
+                chain_threshold=threshold,
+            ),
             cost_model=CostModel(),
         )
         with pytest.raises(MachineFault) as exc:
             runtime.run()
-        outcomes[engine] = (
+        label = (engine, threshold)
+        outcomes[label] = (
             str(exc.value),
             runtime.counter.cycles,
             runtime.executor.instructions,
             watched,
         )
-    assert _chain_report(runtime)["chains_built"] >= 1
-    message, _, _, watched = outcomes["chain"]
+        in_segment[label] = any(
+            entry.frame.code.raw.co_filename == "<segment>"
+            for entry in exc.traceback
+        )
+        if engine == "chain":
+            assert _chain_report(runtime)["chains_built"] >= 1
+    message, _, _, watched = outcomes[("chain", 1)]
     assert message.startswith(
         "%s past memory at 0x2000000" % ("read" if load_first else "write"))
     assert len(watched) > 32
-    assert outcomes["closure"] == outcomes["chain"] == outcomes["tuple"]
+    reference = outcomes[("tuple", 1)]
+    assert all(outcome == reference for outcome in outcomes.values())
+    assert in_segment == {
+        ("tuple", 1): False,
+        ("closure", 1): True,
+        ("chain", 1): True,
+        ("closure", 10**9): False,
+    }
 
 
 # ------------------------------------------------------- SMC chokepoint

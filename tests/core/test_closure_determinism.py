@@ -16,8 +16,13 @@ and threads cover the alarm/safe-point and scheduler paths.
 The chain engine runs with ``chain_threshold=1`` so even the short test
 workloads promote chains immediately; a dedicated test asserts chains
 really get built (a chain run that never chains would vacuously pass
-the differential).
+the differential).  The closure engine's tier-2 promotion (a hot
+fragment's table rebuilt with generated-source segments) is pinned the
+same way: closure runs that promote on the first pass and runs that
+never promote must both match the tuple reference.
 """
+
+import hashlib
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.clients import (
     RedundantLoadRemoval,
     StrengthReduction,
 )
+import repro.core.closures as closures_mod
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.core.options import ENGINES
 from repro.loader import Process
@@ -300,3 +306,138 @@ def test_faulted_runs_bit_identical_across_engines(images, fault_kind, seed):
     streams = [_stream(rt) for rt, _ in runs]
     for other in streams[1:]:
         assert streams[0] == other
+
+
+# ------------------------------------------------ tier-2 promotion
+
+# chain_threshold values for closure runs: promote every fragment on its
+# first pass, and never promote.
+PROMOTION_THRESHOLDS = (1, 10**9)
+
+
+def _event_digest(runtime):
+    return hashlib.sha256(repr(_stream(runtime)).encode()).hexdigest()
+
+
+def _promotion_runs(image, client_factory, options_factory, client_args=()):
+    """A tuple run, then closure runs at each promotion threshold; each
+    as ``(runtime, result, event digest)``."""
+    runs = []
+    for engine, threshold in [("tuple", 20)] + [
+        ("closure", t) for t in PROMOTION_THRESHOLDS
+    ]:
+        options = options_factory()
+        options.engine = engine
+        options.chain_threshold = threshold
+        options.trace_events = True
+        options.trace_buffer = None
+        runtime = DynamoRIO(
+            Process(image),
+            options=options,
+            client=client_factory(*client_args),
+            cost_model=CostModel(),
+        )
+        result = runtime.run()
+        runs.append((runtime, result, _event_digest(runtime)))
+    return runs
+
+
+def _assert_promotion_identical(runs):
+    reference = runs[0]
+    for other in runs[1:]:
+        _assert_identical(reference[1], other[1])
+        assert other[2] == reference[2]
+
+
+def _count_segments(monkeypatch):
+    """Count compile_segment calls for the rest of the test."""
+    calls = []
+    real = closures_mod.compile_segment
+
+    def counting(runtime, code, run, nxt):
+        calls.append(len(run))
+        return real(runtime, code, run, nxt)
+
+    monkeypatch.setattr(closures_mod, "compile_segment", counting)
+    return calls
+
+
+@pytest.mark.parametrize("client_name", sorted(CLIENTS))
+@pytest.mark.parametrize("source_name", sorted(SOURCES))
+def test_promotion_bit_identical(images, source_name, client_name):
+    _assert_promotion_identical(
+        _promotion_runs(
+            images[source_name], CLIENTS[client_name],
+            RuntimeOptions.with_traces,
+        )
+    )
+
+
+@pytest.mark.parametrize("client_name", ["none", "indirect_dispatch"])
+@pytest.mark.parametrize("source_name", sorted(SOURCES))
+def test_block_promotion_bit_identical(images, source_name, client_name):
+    """Without traces the basic blocks are what tiers up."""
+    _assert_promotion_identical(
+        _promotion_runs(
+            images[source_name], CLIENTS[client_name],
+            RuntimeOptions.with_indirect_links,
+        )
+    )
+
+
+def test_promotion_bit_identical_with_precise_alarms(images, monkeypatch):
+    """Alarms delivered mid-fragment at the polls that wrap promoted
+    segments land on the same instruction as in the tuple engine."""
+    from repro.observe.events import EV_SIGNAL_DELIVERED
+
+    segments = _count_segments(monkeypatch)
+
+    def precise():
+        return RuntimeOptions(precise_interrupts=True)
+
+    runs = _promotion_runs(images["signals"], lambda: None, precise)
+    _assert_promotion_identical(runs)
+    assert segments, "the eager closure run never promoted"
+    deliveries = [
+        ev for ev in runs[1][0].observer.events()
+        if ev.kind == EV_SIGNAL_DELIVERED
+    ]
+    assert len(deliveries) == 3
+    assert any(ev.data.get("mid_fragment") for ev in deliveries)
+
+
+def test_promotion_bit_identical_through_mid_loop_detach(
+    images, monkeypatch
+):
+    """A detach requested from a clean call inside the hot loop unwinds
+    at the poll in front of a promoted segment; the translated state,
+    the native continuation and the event stream match the tuple
+    engine."""
+    from repro.tools.detach_diff import DetachClient
+
+    segments = _count_segments(monkeypatch)
+    promoted_before_detach = []
+
+    class Detach(DetachClient):
+        def _tick(self, context):
+            if self.calls + 1 == self.at:
+                promoted_before_detach.append(len(segments))
+            super()._tick(context)
+
+    def precise_blocks():
+        # No traces: the loop's blocks are the tables that tier up.
+        options = RuntimeOptions.with_indirect_links()
+        options.precise_interrupts = True
+        return options
+
+    runs = _promotion_runs(
+        images["loop"], Detach, precise_blocks, client_args=(40,)
+    )
+    _assert_promotion_identical(runs)
+    for runtime, _result, _digest in runs:
+        assert runtime.stats.detaches == 1
+        assert runtime.detached
+    # Tuple, eager closure, never-promoting closure: the eager run had
+    # compiled segments before its detach, the last run compiled none.
+    assert promoted_before_detach[1] > promoted_before_detach[0] == 0
+    assert promoted_before_detach[2] == promoted_before_detach[1]
