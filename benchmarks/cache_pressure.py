@@ -14,10 +14,10 @@ eviction policy:
                size; units grow when the regenerated-vs-replaced ratio
                exceeds ``cache_regen_threshold``).
 
-Every cell runs under all three execution engines (tuple, closure,
-chain) and asserts the simulated results — cycles, instructions,
-output, exit code — are bit-identical across engines; any divergence
-exits non-zero.  Output and exit code must also be identical across
+Every cell runs under both execution engines (tuple, closure) and
+asserts the simulated results — cycles, instructions, output, exit
+code — are bit-identical across engines; any divergence exits
+non-zero.  Output and exit code must also be identical across
 *policies* at the same limit (eviction may never change program
 behavior, only overhead cycles).  Finally the harness gates the
 tentpole claim: at every constrained limit, fifo must retranslate
@@ -174,7 +174,6 @@ def run_sweep(workloads, scale, repeats, fractions):
                     "cache_resizes": ev["cache_resizes"],
                     "tuple_s": round(timings["tuple"], 4),
                     "closure_s": round(timings["closure"], 4),
-                    "chain_s": round(timings["chain"], 4),
                 }
                 cells.append(cell)
                 per_policy[policy_key] = cell

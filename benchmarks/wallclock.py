@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Host wall-clock benchmark: tuple vs closure vs chain engines.
+"""Host wall-clock benchmark: tuple vs closure engines.
 
-Runs the tier-2 workload sweep through every execution engine of each
+Runs the tier-2 workload sweep through both execution engines of each
 executor — the interpreter (``engine="closure"`` / ``engine="tuple"``)
-and the DynamoRIO runtime (``options.engine``, one of ``"tuple"``,
-``"closure"`` and ``"chain"``) — timing host seconds while asserting
-the *simulated* results (cycles, instructions, output) are
-bit-identical across engines.  Simulated numbers measure the machine
+and the DynamoRIO runtime (``options.engine``) — timing host seconds
+while asserting the *simulated* results (cycles, instructions, output)
+are bit-identical across engines.  Simulated numbers measure the machine
 being modelled; host seconds measure this Python implementation.  Only
 the latter may change between engines.
 
@@ -94,13 +93,7 @@ def run_sweep(workloads, scale, repeats):
     for name in workloads:
         image = load_benchmark(name, scale)
         for config, kind in CONFIGS:
-            # The chain engine only exists above the runtime's closure
-            # tables; interp rows compare closure vs tuple only.
-            engines = (
-                ("closure", "tuple", "chain")
-                if kind == "runtime"
-                else ("closure", "tuple")
-            )
+            engines = ("closure", "tuple")
             timings = {}
             results = {}
             for engine in engines:
@@ -122,7 +115,6 @@ def run_sweep(workloads, scale, repeats):
                     )
             closure_s = timings["closure"]
             tuple_s = timings["tuple"]
-            chain_s = timings.get("chain")
             cell = {
                 "workload": name,
                 "config": config,
@@ -131,21 +123,10 @@ def run_sweep(workloads, scale, repeats):
                 "closure_s": round(closure_s, 4),
                 "tuple_s": round(tuple_s, 4),
                 "speedup": round(tuple_s / closure_s, 3),
-                "chain_s": None if chain_s is None else round(chain_s, 4),
-                "chain_speedup": (
-                    None if chain_s is None
-                    else round(closure_s / chain_s, 3)
-                ),
             }
             cells.append(cell)
-            chain_col = (
-                "  chain %.3fs  %.2fx vs closure"
-                % (chain_s, cell["chain_speedup"])
-                if chain_s is not None
-                else ""
-            )
             print(
-                "%-8s %-7s %12d cycles  closure %.3fs  tuple %.3fs  %.2fx%s"
+                "%-8s %-7s %12d cycles  closure %.3fs  tuple %.3fs  %.2fx"
                 % (
                     name,
                     config,
@@ -153,7 +134,6 @@ def run_sweep(workloads, scale, repeats):
                     closure_s,
                     tuple_s,
                     cell["speedup"],
-                    chain_col,
                 )
             )
     return cells
@@ -171,17 +151,9 @@ def summarize(cells):
     for config, _kind in CONFIGS:
         speedups = [c["speedup"] for c in cells if c["config"] == config]
         per_config[config] = round(geomean(speedups), 3)
-    chain_speedups = [
-        c["chain_speedup"] for c in cells if c["chain_speedup"] is not None
-    ]
     return {
         "geomean_speedup": round(geomean([c["speedup"] for c in cells]), 3),
         "per_config": per_config,
-        # Chain engine vs the closure engine it stacks on, geomean over
-        # the runtime rows (the chain compiler's acceptance number).
-        "chain_vs_closure": (
-            round(geomean(chain_speedups), 3) if chain_speedups else None
-        ),
     }
 
 
@@ -266,19 +238,13 @@ def main(argv=None):
             "date": args.date,
         },
     }
-    chain_txt = (
-        "  chain-vs-closure %.2fx" % summary["chain_vs_closure"]
-        if summary["chain_vs_closure"] is not None
-        else ""
-    )
     print(
-        "geomean speedup: %.2fx  (%s)%s"
+        "geomean speedup: %.2fx  (%s)"
         % (
             summary["geomean_speedup"],
             "  ".join(
                 "%s %.2fx" % (k, v) for k, v in summary["per_config"].items()
             ),
-            chain_txt,
         )
     )
 

@@ -34,8 +34,7 @@ its fused step one for one, so step indices, poll points and state
 translation are the same in both tiers, and a table already running
 keeps running until its next exit.  Codegen is paid only by code that
 has proven hot — the paper's adaptive level of detail, and the lazy
-tiering of method JITs.  The chain compiler (:mod:`repro.core.chains`)
-uses the same segment compiler for its stitched tables.
+tiering of method JITs.
 
 Only the CPU is passed per call: fragments may be shared between
 threads (the thread-shared cache ablation), so per-thread state cannot
@@ -62,7 +61,6 @@ from repro.core.emit import (
     OP_JMP_EXIT,
     OP_LOCAL_BR,
 )
-from repro.core.fragments import LinkStub
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import ImmOperand, MemOperand, RegOperand
 from repro.machine.cpu import _PARITY, compile_condition
@@ -110,9 +108,8 @@ def plan_fragment(code):
     ``("run", [op indices])`` / ``("op", op index)`` entries, one per
     step; ``step_of`` maps op indices (and the one-past-the-end index)
     to step indices; ``table_len`` counts the trailing fell-through
-    sentinel step.  Shared by :func:`compile_steps` and the chain
-    compiler (which must know a member's table length before any of
-    its stitched steps are built).
+    sentinel step.  Shared by :func:`compile_steps` and the state
+    translator (:mod:`repro.core.translate`).
     """
     # Intra-fragment branch targets must begin a step of their own.
     branch_targets = set()
@@ -185,42 +182,14 @@ def _exit_clean_call(runtime, fn, role, tag, target):
         guard.call(fn, (runtime.current_thread, target), tag=tag, role=role)
 
 
-def compile_steps(
-    fragment,
-    runtime,
-    base=0,
-    base_of=None,
-    members_by_tag=None,
-    cross=None,
-    compile_segment=None,
-):
+def compile_steps(fragment, runtime, compile_segment=None):
     """Compile ``fragment.code`` into a list of step closures.
 
-    This is the only place exit steps are built.  The arguments after
-    ``runtime`` up to ``cross`` are the chain compiler's
-    (:mod:`repro.core.chains`) data for one super-table build; a
-    fragment's own table passes none.
-
-    * ``base`` offsets every produced step index: a chain concatenates
-      its members' step lists into one flat table, so intra-fragment
-      transfers and fall-throughs address their member's slice of it.
-    * ``base_of`` maps ``id(member)`` to the member's base.  A direct
-      exit (cond taken, jmp, call, dispatch-check hit) whose stub is
-      linked to a member bakes ``(target, base)``; at run time it
-      re-reads ``stub.linked_to is target`` and transfers inside the
-      table, else it leaves through ``Executor._direct_exit`` as usual.
-    * ``members_by_tag`` maps an application tag to ``(member, base)``:
-      an indirect exit whose IBL hit is that member jumps to its base.
-    * ``cross(ex, target, pending)`` is the fragment boundary a
-      stitched transfer performs instead of returning to
-      ``Executor.run``.  The common case (``ex._stitch_limit`` not
-      reached, no alarm, no reschedule) is open-coded in each exit
-      step as one counter update; ``cross`` derives the exact
-      charge/raise order in every other case.
-    * ``compile_segment(runtime, code, run, nxt)`` compiles an
-      ``OP_EXEC`` run of two or more instructions in place of the
-      generic fused step (:func:`compile_segment`; hot tables and
-      chains pass it).
+    This is the only place exit steps are built.  With
+    ``compile_segment(runtime, code, run, nxt)`` (hot tables pass
+    :func:`compile_segment`), an ``OP_EXEC`` run of two or more
+    instructions compiles to generated source in place of the generic
+    fused step.
 
     Under ``options.precise_interrupts`` every poll-point step, whatever
     built it, is wrapped exactly once by
@@ -233,7 +202,6 @@ def compile_steps(
     counter = runtime.counter
     stats = runtime.stats
     taken_penalty = runtime.cost.taken_branch_penalty
-    fragment_entry = runtime.cost.fragment_entry
     write_u32 = mem.write_u32
     # Call pushes store into the buffer in range and while no store
     # check is armed (tested at store time); else through write_u32.
@@ -245,22 +213,7 @@ def compile_steps(
     sentinel_index = len(plans)
 
     def next_step(op_index):
-        return step_of.get(op_index, sentinel_index) + base
-
-    def stitch_of(stub):
-        """``(target, target_base)`` when ``stub`` is a stable direct
-        link to a chain member, else ``(None, 0)``."""
-        if (
-            base_of is None
-            or stub.kind != LinkStub.KIND_DIRECT
-            or stub.always_stub
-        ):
-            return None, 0
-        target = stub.linked_to
-        target_base = base_of.get(id(target))
-        if target_base is None:
-            return None, 0
-        return target, target_base
+        return step_of.get(op_index, sentinel_index)
 
     steps = []
     for plan_kind, payload in plans:
@@ -311,32 +264,18 @@ def compile_steps(
 
         if kind == OP_COND_EXIT:
             cond = compile_condition(op[1])
-            stub = exits[op[2]]
-            target, target_base = stitch_of(stub)
 
             def cond_exit_step(
                 ex,
                 cpu,
                 _cond=cond,
-                _stub=stub,
+                _stub=exits[op[2]],
                 _c=op[3],
                 _ct=op[3] + taken_penalty,
                 _nxt=nxt,
-                _target=target,
-                _tbase=target_base,
             ):
                 ex.instructions += 1
                 if _cond(cpu.eflags):
-                    if _target is not None and _stub.linked_to is _target:
-                        if (
-                            ex.instructions < ex._stitch_limit
-                            and not system.alarm_active
-                            and not runtime._need_reschedule
-                        ):
-                            counter.cycles += _ct + fragment_entry
-                        else:
-                            cross(ex, _target, _ct)
-                        return _tbase
                     counter.cycles += _ct
                     ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
                     return None
@@ -346,28 +285,11 @@ def compile_steps(
             steps.append(cond_exit_step)
 
         elif kind == OP_JMP_EXIT:
-            stub = exits[op[1]]
-            target, target_base = stitch_of(stub)
 
             def jmp_exit_step(
-                ex,
-                cpu,
-                _stub=stub,
-                _ct=op[2] + taken_penalty,
-                _target=target,
-                _tbase=target_base,
+                ex, cpu, _stub=exits[op[1]], _ct=op[2] + taken_penalty
             ):
                 ex.instructions += 1
-                if _target is not None and _stub.linked_to is _target:
-                    if (
-                        ex.instructions < ex._stitch_limit
-                        and not system.alarm_active
-                        and not runtime._need_reschedule
-                    ):
-                        counter.cycles += _ct + fragment_entry
-                    else:
-                        cross(ex, _target, _ct)
-                    return _tbase
                 counter.cycles += _ct
                 ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
                 return None
@@ -375,17 +297,13 @@ def compile_steps(
             steps.append(jmp_exit_step)
 
         elif kind == OP_CALL_EXIT:
-            stub = exits[op[1]]
-            target, target_base = stitch_of(stub)
 
             def call_exit_step(
                 ex,
                 cpu,
-                _stub=stub,
+                _stub=exits[op[1]],
                 _ra=op[2] & _MASK32,
                 _ct=op[3] + taken_penalty,
-                _target=target,
-                _tbase=target_base,
             ):
                 ex.instructions += 1
                 # Charged before the push: the store may trip the SMC
@@ -398,18 +316,8 @@ def compile_steps(
                     pack_u32(buf, sp, _ra)
                 else:
                     write_u32(sp, _ra)
-                # Link re-read after the push: the store may have just
-                # invalidated the baked target.
-                if _target is not None and _stub.linked_to is _target:
-                    if (
-                        ex.instructions < ex._stitch_limit
-                        and not system.alarm_active
-                        and not runtime._need_reschedule
-                    ):
-                        counter.cycles += fragment_entry
-                    else:
-                        cross(ex, _target, 0)
-                    return _tbase
+                # The link is read after the push: the store may have
+                # just unlinked the stub.
                 ex._next_fragment = ex._direct_exit(_stub, cpu, mem, system)
                 return None
 
@@ -449,7 +357,6 @@ def compile_steps(
                 _checker=checker,
                 _ct=c + taken_penalty,
                 _tag=tag,
-                _members=members_by_tag,
             ):
                 ex.instructions += 1
                 target = _fetch(cpu)
@@ -468,20 +375,9 @@ def compile_steps(
                     _exit_clean_call(
                         runtime, _profiler, "profiler", _tag, target
                     )
-                fragment = ex._indirect_exit(_stub, target, cpu, mem, system)
-                if _members is not None:
-                    member = _members.get(target)
-                    if member is not None and member[0] is fragment:
-                        if (
-                            ex.instructions < ex._stitch_limit
-                            and not system.alarm_active
-                            and not runtime._need_reschedule
-                        ):
-                            counter.cycles += fragment_entry
-                        else:
-                            cross(ex, fragment, 0)
-                        return member[1]
-                ex._next_fragment = fragment
+                ex._next_fragment = ex._indirect_exit(
+                    _stub, target, cpu, mem, system
+                )
                 return None
 
             steps.append(ind_exit_step)
@@ -500,10 +396,8 @@ def compile_steps(
                 c,
                 check_cost,
             ) = op
-            # (tag, stub, stitched target or None, target base) per entry.
             dispatch_entries = tuple(
-                (d_tag, exits[d_idx]) + stitch_of(exits[d_idx])
-                for d_tag, d_idx in dispatch
+                (d_tag, exits[d_idx]) for d_tag, d_idx in dispatch
             )
 
             def ind_check_step(
@@ -521,7 +415,6 @@ def compile_steps(
                 _check_cost=check_cost,
                 _nxt=nxt,
                 _tag=tag,
-                _members=members_by_tag,
             ):
                 ex.instructions += 1
                 target = _fetch(cpu)
@@ -542,7 +435,7 @@ def compile_steps(
                     if observer is not None:
                         observer.emit(EV_INLINE_CHECK_HIT, _tag, target=target)
                     return _nxt
-                for d_tag, d_stub, d_target, d_base in _dispatch:
+                for d_tag, d_stub in _dispatch:
                     counter.cycles += _check_cost
                     if target != d_tag:
                         continue
@@ -551,16 +444,6 @@ def compile_steps(
                     if observer is not None:
                         observer.emit(EV_DISPATCH_CHECK_HIT, _tag, target=target)
                     counter.cycles += taken_penalty
-                    if d_target is not None and d_stub.linked_to is d_target:
-                        if (
-                            ex.instructions < ex._stitch_limit
-                            and not system.alarm_active
-                            and not runtime._need_reschedule
-                        ):
-                            counter.cycles += fragment_entry
-                        else:
-                            cross(ex, d_target, 0)
-                        return d_base
                     ex._next_fragment = ex._direct_exit(d_stub, cpu, mem, system)
                     return None
                 if _profiler is not None:
@@ -568,22 +451,9 @@ def compile_steps(
                         runtime, _profiler, "profiler", _tag, target
                     )
                 counter.cycles += taken_penalty
-                fragment = ex._indirect_exit(
+                ex._next_fragment = ex._indirect_exit(
                     _ibl_stub, target, cpu, mem, system
                 )
-                if _members is not None:
-                    member = _members.get(target)
-                    if member is not None and member[0] is fragment:
-                        if (
-                            ex.instructions < ex._stitch_limit
-                            and not system.alarm_active
-                            and not runtime._need_reschedule
-                        ):
-                            counter.cycles += fragment_entry
-                        else:
-                            cross(ex, fragment, 0)
-                        return member[1]
-                ex._next_fragment = fragment
                 return None
 
             steps.append(ind_check_step)

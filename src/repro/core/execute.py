@@ -17,7 +17,7 @@ The engine reads ``fragment.code`` once into a local — so a fragment
 replaced mid-execution (adaptive optimization) keeps running its old
 code until the next exit, exactly the paper's replacement semantics.
 
-Three interchangeable engines drive the op stream, selected by
+Two interchangeable engines drive the op stream, selected by
 ``options.engine``:
 
 * the **closure engine** (default, ``"closure"``) runs the fragment's
@@ -28,21 +28,13 @@ Three interchangeable engines drive the op stream, selected by
   reaches ``options.chain_threshold`` first swaps in the fragment's
   tier-2 table, whose straight-line runs are generated source (traces
   only, while ``options.traces`` is on);
-* the **chain engine** (``"chain"``) runs the same steps, concatenated
-  across hot linked fragments into one super-table
-  (:mod:`repro.core.chains`), so linked transfers and IBL hits on chain
-  members stay inside the step loop instead of returning here.  It
-  promotes fragment tables the same way, and keeps counting to try a
-  chain build every ``chain_threshold`` passes;
 * the **tuple engine** (``"tuple"``) interprets the lowered op tuples
   directly (:meth:`Executor._run_ops`), kept as the regression
   reference.
 
-All three charge cycles and update stats identically; the determinism
+Both charge cycles and update stats identically; the determinism
 tests assert bit-identical results across engines.
 """
-
-import sys
 
 from repro.core.emit import (
     CLEAN_CALL_COST,
@@ -97,15 +89,6 @@ class Executor:
         self.instructions = 0
         # Set by closure-compiled exit steps before they return None.
         self._next_fragment = None
-        # Per-run() state mirrored onto the executor so chain boundary
-        # steps (repro.core.chains) see exactly what the run loop sees.
-        self._budget = None
-        self._deadline = None
-        self._profile_enter = None
-        # Stitched exit steps take the fused boundary while
-        # ``instructions < _stitch_limit`` (and no alarm or reschedule
-        # is pending); see run().
-        self._stitch_limit = -1
 
     # ------------------------------------------------------------ exit paths
 
@@ -215,34 +198,13 @@ class Executor:
         observer = runtime.observer
         profile_enter = observer.profile_enter if observer is not None else None
         profile_break = observer.profile_break if observer is not None else None
-        # Mirror per-run state for chain boundary steps, which perform
-        # this loop's per-pass bookkeeping inline (repro.core.chains).
-        self._budget = budget
-        self._deadline = deadline
-        self._profile_enter = profile_enter
-        # The budget and deadline tests of a boundary folded into one
-        # bound; -1 sends every boundary through cross() while the
-        # profiler samples passes.
-        if profile_enter is not None:
-            limit = -1
-        else:
-            limit = sys.maxsize if budget is None else budget + 1
-            if deadline is not None and deadline < limit:
-                limit = deadline
-        self._stitch_limit = limit
-        # Passes before a fragment's table tiers up (and, under the
-        # chain engine, between chain builds).
+        # Passes before a fragment's table tiers up.
         threshold = runtime.options.chain_threshold
         # With trace building on, traces are the hot representation: a
         # block reaches the threshold just as the trace through it
         # forms (both thresholds default to 20) and is then superseded,
         # so only traces tier up.
         promote_bbs = not runtime.options.traces
-        # Chains are a multi-fragment construct: never entered when the
-        # dispatcher needs control back after one fragment.
-        chains = (
-            runtime.chains if (use_closures and not single_step) else None
-        )
 
         try:
             first = True
@@ -274,27 +236,20 @@ class Executor:
                     # Step table read once — a fragment replaced
                     # mid-execution keeps running its old steps until
                     # the next exit, like the tuple engine with `code`.
-                    steps = fragment.chain if chains is not None else None
+                    count = fragment.pass_counter
+                    if count < threshold:
+                        # Tier-up: the pass that reaches the threshold
+                        # runs the fragment's table rebuilt with
+                        # generated-source segments.
+                        count += 1
+                        fragment.pass_counter = count
+                        if count == threshold and (
+                            promote_bbs or fragment.is_trace
+                        ):
+                            compile_fragment(fragment, runtime, hot=True)
+                    steps = fragment.compiled
                     if steps is None:
-                        count = fragment.pass_counter
-                        if count < threshold or chains is not None:
-                            # Tier-up: the pass that reaches the
-                            # threshold runs the fragment's table
-                            # rebuilt with generated-source segments.
-                            # The chain engine keeps counting and tries
-                            # to stitch every `threshold` passes.
-                            count += 1
-                            fragment.pass_counter = count
-                            if count == threshold and (
-                                promote_bbs or fragment.is_trace
-                            ):
-                                compile_fragment(fragment, runtime, hot=True)
-                            if chains is not None and not count % threshold:
-                                steps = chains.stitch(fragment)
-                        if steps is None:
-                            steps = fragment.compiled
-                            if steps is None:
-                                steps = compile_fragment(fragment, runtime)
+                        steps = compile_fragment(fragment, runtime)
                     self._next_fragment = None
                     i = 0
                     while i is not None:

@@ -68,9 +68,7 @@ class Fragment:
         "generation",
         "compiled",
         "source_spans",
-        "chain",
         "pass_counter",
-        "chains_in",
         "translation",
     )
 
@@ -109,16 +107,9 @@ class Fragment:
         # cache-consistency region map when options.cache_consistency is
         # on; traces carry the union of their constituent blocks' spans.
         self.source_spans = ()
-        # Passes Executor.run has started in this fragment's own table
-        # (counting stops at the promotion threshold unless the chain
-        # engine is on).
+        # Passes Executor.run has started in this fragment's table
+        # (counting stops at the promotion threshold).
         self.pass_counter = 0
-        # Chain compiler (repro.core.chains): the stitched super-table
-        # rooted at this fragment and the chain records whose tables
-        # embed this fragment's steps (back-pointers for invalidation
-        # at unlink chokepoints).
-        self.chain = None
-        self.chains_in = []
         # Execution-point -> application-PC map (repro.core.translate):
         # built at emit time, drives mid-fragment signal delivery and
         # detach-time state translation.

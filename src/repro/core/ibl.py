@@ -8,9 +8,8 @@ every lookup.
 
 The hot path is ``table.get`` — a single dict probe.  Hit/miss
 accounting (stats counters and drtrace events) lives with the callers
-(:meth:`repro.core.execute.Executor._indirect_exit` and the chain
-compiler's in-step fast path), so the lookup itself carries no
-stats/observer plumbing.
+(:meth:`repro.core.execute.Executor._indirect_exit`), so the lookup
+itself carries no stats/observer plumbing.
 
 Trace heads are deliberately *not* present: entries reaching a trace
 head must come back to the dispatcher so the head's execution counter

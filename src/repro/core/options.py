@@ -5,7 +5,7 @@ one mechanism to the previous configuration.
 """
 
 # The values of RuntimeOptions.engine, slowest first.
-ENGINES = ("tuple", "closure", "chain")
+ENGINES = ("tuple", "closure")
 
 
 class RuntimeOptions:
@@ -27,7 +27,6 @@ class RuntimeOptions:
         verify_equivalence=False,
         engine="closure",
         chain_threshold=20,
-        chain_max_fragments=16,
         trace_events=False,
         trace_buffer=65536,
         profile_fragments=True,
@@ -49,13 +48,14 @@ class RuntimeOptions:
         self.link_direct = link_direct
         self.link_indirect = link_indirect
         self.traces = traces
-        # Trace construction parameters.
+        # Trace construction parameters, each an int >= 1.
         self.trace_threshold = trace_threshold
         self.max_trace_bbs = max_trace_bbs
         self.max_bb_instrs = max_bb_instrs
         # Cache organization.
         self.thread_private = thread_private
-        self.code_cache_limit = code_cache_limit  # bytes, None = unlimited
+        # Bytes, an int >= 1; None = unlimited.
+        self.code_cache_limit = code_cache_limit
         # Capacity policy (paper Section 6).  "flush" drops the whole
         # unit when it fills (DELI's fallback; the historical default,
         # bit-identical to pre-policy behavior).  "fifo" evicts single
@@ -95,23 +95,15 @@ class RuntimeOptions:
         # Execution engine, one of ENGINES.  "closure" (the default)
         # drives fragments through their closure-compiled step tables
         # (repro.core.closures); "tuple" interprets the lowered op
-        # tuples, kept as the differential reference.  "chain" adds the
-        # chain compiler (repro.core.chains): a hot fragment whose
-        # direct exits are linked is stitched together with its linked
-        # successors into one flat step super-table — hot linked chains
-        # then run without returning to Executor.run between fragments,
-        # and indirect branches resolve through an in-step IBL fast
-        # path.  Wall-clock only: simulated cycles, stats, and events
-        # are bit-identical across all three.
+        # tuples, kept as the differential reference.  Wall-clock only:
+        # simulated cycles, stats, and events are bit-identical across
+        # both.
         self.engine = engine
-        # The tier-2 promotion threshold: on its chain_threshold-th pass
-        # a fragment's step table is rebuilt with generated-source
-        # segments (closure and chain engines; traces only while traces
-        # is on); the chain engine also tries to stitch a chain every
-        # chain_threshold passes.  An int >= 1, as is
-        # chain_max_fragments (members per chain).
+        # The tier-2 promotion threshold, an int >= 1: on its
+        # chain_threshold-th pass a fragment's step table is rebuilt
+        # with generated-source segments (closure engine; traces only
+        # while traces is on).
         self.chain_threshold = chain_threshold
-        self.chain_max_fragments = chain_max_fragments
         # Observability (repro.observe): record typed runtime events
         # and per-fragment cycle attribution.  Off by default — the
         # runtime's observer is None and every emit site is a single
@@ -151,7 +143,7 @@ class RuntimeOptions:
         self.cache_consistency = cache_consistency
         # Precise interrupts ("drdetach", repro.core.translate): compile
         # an interrupt poll at every application-consistent step inside
-        # fragments, chains, and the tuple engine, so due alarms and
+        # closure tables and the tuple engine, so due alarms and
         # pending detach requests are honored *mid-fragment* with a
         # latency bounded by the longest fused run (<= max_bb_instrs
         # instructions) instead of waiting for the next dispatcher
@@ -165,7 +157,7 @@ class RuntimeOptions:
         # IBL tables, runtime scratch) for errant application stores and
         # recover by invalidating only the clobbered unit; wrap the
         # runtime's own chokepoints (build, emit, link, unlink, evict,
-        # trace, chain) in a RuntimeGuard whose escalation ladder runs
+        # trace) in a RuntimeGuard whose escalation ladder runs
         # retry -> discard -> flush -> disable-subsystem -> detach to
         # native.  Off by default: runtime.shield/rguard are None, every
         # new check is a single pointer test, and results are

@@ -18,7 +18,6 @@ from repro.core.bb_builder import (
     block_source_span,
     build_basic_block,
 )
-from repro.core.chains import ChainManager
 from repro.core.code_cache import CacheFullError, CodeRegionMap
 from repro.core.emit import emit_fragment
 from repro.core.execute import EXIT_INTERRUPT, Executor
@@ -73,8 +72,16 @@ class DynamoRIO:
             raise ValueError(
                 "unknown cache_evict_policy %r" % (self.options.cache_evict_policy,)
             )
-        for name in ("chain_threshold", "chain_max_fragments"):
+        for name in (
+            "trace_threshold",
+            "max_trace_bbs",
+            "max_bb_instrs",
+            "chain_threshold",
+            "code_cache_limit",
+        ):
             value = getattr(self.options, name)
+            if name == "code_cache_limit" and value is None:
+                continue
             if type(value) is not int or value < 1:
                 raise ValueError("%s must be an int >= 1, not %r" % (name, value))
         self.client = client
@@ -100,13 +107,9 @@ class DynamoRIO:
         self.threads = []
         self.current_thread = self._new_thread(lay)
         self.executor = Executor(self)
-        # Chain compiler ("second-tier JIT", repro.core.chains):
-        # stitches hot linked fragments' step tables into dispatch-free
-        # super-tables.  Wall-clock only — cycles/stats/events stay
-        # bit-identical.
-        self.chains = (
-            ChainManager(self) if self.options.engine == "chain" else None
-        )
+        # Always None: no engine stitches fragments into chains.  Its
+        # reader is perfbench/suite.py, which reports chain counters.
+        self.chains = None
         # drguard: None unless guarding is enabled — every hook site
         # checks the pointer once, exactly like the observer.
         self.guard = (
@@ -393,11 +396,11 @@ class DynamoRIO:
     def _evict_fifo(self, cache, fragment, thread=None):
         """Capacity pressure under ``cache_evict_policy="fifo"``: evict
         resident fragments one at a time in allocation order — through
-        the full delete chokepoint (unlink, chain dissolution, region-
-        map deregistration, IBL removal, ``fragment_deleted`` hook) —
-        until the incoming fragment fits.  If nothing can make it fit
-        (fragment larger than the unit) the cache drains to empty and
-        the empty-cache rule accepts it as the sole resident."""
+        the full delete chokepoint (unlink, region-map deregistration,
+        IBL removal, ``fragment_deleted`` hook) — until the incoming
+        fragment fits.  If nothing can make it fit (fragment larger than
+        the unit) the cache drains to empty and the empty-cache rule
+        accepts it as the sole resident."""
         observer = self.observer
         if observer is not None:
             occ = cache.occupancy()
@@ -487,11 +490,6 @@ class DynamoRIO:
         if thread is None:
             thread = self.current_thread
         fragment.deleted = True
-        # Every deletion path (flush, eviction, SMC invalidation,
-        # client quarantine) funnels through here: demote any chain
-        # whose super-table embeds this fragment.
-        if self.chains is not None:
-            self.chains.invalidate(fragment)
         if self.region_map is not None:
             self.region_map.unregister(fragment)
         thread.ibl.remove(fragment)
@@ -569,8 +567,8 @@ class DynamoRIO:
     def _teardown_caches(self):
         """Shared detach/quarantine teardown: drop all in-progress
         client-visible state and flush every fragment through the
-        ``_delete_fragment`` chokepoint (chain dissolution, region-map
-        deregistration, IBL removal, unlink, ``fragment_deleted``)."""
+        ``_delete_fragment`` chokepoint (region-map deregistration, IBL
+        removal, unlink, ``fragment_deleted``)."""
         self.pending_trace_heads.clear()
         seen = set()
         for thread in self.threads:
@@ -667,10 +665,6 @@ class DynamoRIO:
                     stub.linked_to = None
                     unlinked += 1
             fragment.incoming = []
-            # Chains stitched through those links must not skip the
-            # head's dispatch-side entry counting.
-            if self.chains is not None:
-                self.chains.invalidate(fragment)
             observer = self.observer
             if observer is not None:
                 if unlinked:
@@ -713,10 +707,6 @@ class DynamoRIO:
                 stub.linked_to = None
                 unlinked += 1
         fragment.incoming = []
-        # Chains stitched through those links must not skip the head's
-        # dispatch-side entry counting.
-        if self.chains is not None:
-            self.chains.invalidate(fragment)
         observer = self.observer
         if observer is not None:
             if unlinked:
@@ -809,10 +799,6 @@ class DynamoRIO:
         # Shadow the head bb: redirect its incoming links to the trace.
         head_bb = thread.bb_cache.lookup(recording.head_tag)
         if head_bb is not None:
-            # Chains baked the bb as a stitch target; the re-pointed
-            # links must flow into the trace instead.
-            if self.chains is not None:
-                self.chains.invalidate(head_bb)
             for stub in head_bb.incoming:
                 if stub.linked_to is head_bb:
                     stub.linked_to = fragment
@@ -892,7 +878,7 @@ class DynamoRIO:
         """Request a transparent detach (dr_detach).
 
         The engines unwind at the next application-consistent point —
-        mid-fragment/mid-chain under ``options.precise_interrupts``, the
+        mid-fragment under ``options.precise_interrupts``, the
         next fragment boundary otherwise — where every thread's state is
         translated back to application state (repro.core.translate) and
         execution continues natively, bit-identical to a never-attached
@@ -906,7 +892,7 @@ class DynamoRIO:
         self._detach_pending = True
         self._reattach_after = reattach_after
         # Reuse the scheduler's unwind path: every engine (run loop,
-        # chain fast paths, dispatcher) already breaks on this flag.
+        # dispatcher) already breaks on this flag.
         self._need_reschedule = True
 
     @property
@@ -1377,10 +1363,6 @@ class DynamoRIO:
                 stub.linked_to = None
                 unlinked += 1
         old.deleted = True
-        # Chains embedding the old version (as root or stitch target)
-        # dissolve; the new fragment re-promotes on its own heat.
-        if self.chains is not None:
-            self.chains.invalidate(old)
         if self.region_map is not None:
             # The replacement covers the same application code.
             new.source_spans = old.source_spans

@@ -15,7 +15,7 @@ The shield (``options.shield``) protects the runtime from the
 *application* (errant stores into the code cache, exit stubs, IBL
 tables, or runtime scratch are trapped, attributed, and recovered by
 invalidating only the clobbered unit) and from *itself* (internal
-faults at the build/emit/link/unlink/evict/trace/chain chokepoints
+faults at the build/emit/link/unlink/evict/trace chokepoints
 climb an escalation ladder: retry → discard → flush → disable the
 faulting subsystem → detach to native).
 """

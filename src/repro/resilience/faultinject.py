@@ -41,7 +41,7 @@ runtime's own chokepoints — no client involved at all:
 ``runtime_raise:<site>``  raise :class:`~repro.resilience.shield.
                        InjectedRuntimeFault` at chokepoint ``<site>``
                        (one of bb_build, emit, link, unlink, evict,
-                       trace, chain) on the scheduled invocations; the
+                       trace) on the scheduled invocations; the
                        escalation ladder must contain every one;
 ``errant_write``       after scheduled builds, store into runtime-owned
                        memory (fragment body, exit stub, IBL range,
@@ -138,7 +138,7 @@ class RuntimeFaultPlan:
     per-site call counter; for ``errant_write``/``livelock`` it is
     consulted against the successful-build counter.  Chokepoint
     invocation counts are a deterministic property of the dispatcher
-    (identical across the tuple/closure/chain engines), so one plan
+    (identical across the tuple and closure engines), so one plan
     fires at the same logical points everywhere.
 
     ``livelock`` fires on *every* build past ``start`` — a periodic

@@ -34,11 +34,11 @@ paths.  Behind ``options.shield`` this module supplies both defenses:
 :class:`RuntimeGuard` — internal fault containment.
 
 Wraps the runtime's chokepoints (bb build, emit, link, unlink,
-eviction, trace promotion, chain build).  An unexpected exception
+eviction, trace promotion).  An unexpected exception
 becomes a recorded ``shield_fault`` and a rung on the recovery ladder:
 retry the translation → discard the fragment/recording → flush the
-thread's caches → disable the optional subsystem that faulted (chains,
-traces, fifo eviction, direct linking) with a ``subsystem_disabled``
+thread's caches → disable the optional subsystem that faulted (traces,
+fifo eviction, direct linking) with a ``subsystem_disabled``
 event → full ``Runtime.detach()`` to native after
 ``options.shield_fault_limit`` faults.  Every seeded internal fault
 therefore ends in a correct native-fidelity run, never a traceback.
@@ -65,7 +65,7 @@ SHIELD_RESERVE = 0x10000
 IBL_RANGE_SIZE = 0x800
 
 # Chokepoints the containment ladder covers (the fault-injection sites).
-RUNTIME_SITES = ("bb_build", "emit", "link", "unlink", "evict", "trace", "chain")
+RUNTIME_SITES = ("bb_build", "emit", "link", "unlink", "evict", "trace")
 
 # site -> (fault count at which the subsystem is disabled, subsystem).
 # Sites without an entry have no optional subsystem to turn off; they
@@ -74,7 +74,6 @@ _DISABLE_RULES = {
     "link": (2, "direct_linking"),
     "evict": (2, "fifo_eviction"),
     "trace": (3, "traces"),
-    "chain": (2, "chains"),
 }
 
 
@@ -465,10 +464,7 @@ class RuntimeGuard:
                 faults=self.site_faults.get(site, 0),
             )
         options = runtime.options
-        if subsystem == "chains":
-            runtime.chains = None
-            options.engine = "closure"
-        elif subsystem == "traces":
+        if subsystem == "traces":
             options.traces = False
             for thread in runtime.threads:
                 thread.trace_in_progress = None

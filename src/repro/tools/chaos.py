@@ -24,7 +24,7 @@ or plant errant stores / livelock (see
 additionally asserts that the event stream replays exactly onto the
 live stats and that the escalation ladder's events (``shield_fault``,
 ``subsystem_disabled``, ``watchdog_trip``) are *identical* across the
-tuple, closure, and chain engines for every cell.
+tuple and closure engines for every cell.
 
 Exit status is non-zero if any run violates the contract.
 """
@@ -279,7 +279,7 @@ def run_one(image, client_name, fault_kind, seed, engine="closure"):
 # ------------------------------------------------- drshield matrix (--runtime)
 
 # Escalation-ladder event kinds that must be byte-identical across the
-# three engines for every (fault, workload, seed) cell.
+# engines for every (fault, workload, seed) cell.
 LADDER_EVENT_KINDS = ("shield_fault", "subsystem_disabled", "watchdog_trip")
 
 # Kinds whose chokepoint only runs under cache pressure: give them a
@@ -361,10 +361,7 @@ def cells(args):
             for kind in kinds
             for workload in fault_workloads(kind, args.matrix)
             for seed in range(args.seeds)
-            # The chain chokepoint only exists on the chain engine.
-            for engine in (
-                ("chain",) if kind == "runtime_raise:chain" else ENGINES
-            )
+            for engine in ENGINES
         ]
     clients = SMALL_CLIENTS if args.matrix == "small" else FULL_CLIENTS
     engines = ("closure",) if args.matrix == "small" else ("closure", "tuple")

@@ -1,20 +1,19 @@
 """Property-based cache-pressure fuzz: seeded random policy matrix.
 
 Each seed draws a random ``(workload, code_cache_limit, eviction
-policy, adaptive sizing, trace/chain thresholds, client)`` cell and
-runs it under all three execution engines.  The properties:
+policy, adaptive sizing, trace/promotion thresholds, client)`` cell
+and runs it under both execution engines.  The properties:
 
 * **Engine bit-identity** — cycles, instructions, output, exit code
   and the full event/stat dictionaries are identical across the
-  tuple, closure and chain engines (capacity management may change
+  tuple and closure engines (capacity management may change
   *overhead*, never the simulated machine's determinism).
 * **Transparency** — output and exit code equal native execution, at
   every limit and policy.
 * **No stale state survives eviction** — after the run: every resident
   fragment is live with a ``cache_addr`` inside its unit's span and no
   two residents overlap; every IBL entry and every linked exit stub
-  points at a live fragment; every live chain passes
-  ``ChainManager.check_integrity``.
+  points at a live fragment.
 * **Replay exactness** — when the seed enables tracing, replaying the
   (unbounded) event stream reconstructs the live counters exactly,
   including the new ``cache_fragment_evictions``/``cache_resizes``.
@@ -138,8 +137,6 @@ def _assert_cache_invariants(runtime):
         for tag, fragment in thread.ibl.table.items():
             assert not fragment.deleted
             assert thread.lookup_fragment(tag) is fragment
-    if runtime.chains is not None:
-        assert runtime.chains.check_integrity() == []
 
 
 def _check_seed(seed):

@@ -26,8 +26,8 @@ from repro.machine.cost import CostModel
 from repro.machine.errors import MachineFault
 
 # (engine, chain_threshold): the reference, a closure table promoted on
-# its first pass, one that never promotes, and chains.
-RUNS = (("tuple", 20), ("closure", 1), ("closure", 10**9), ("chain", 1))
+# its first pass, and one that never promotes.
+RUNS = (("tuple", 20), ("closure", 1), ("closure", 10**9))
 
 _SIZE = Layout.MEMORY_SIZE
 

@@ -1,8 +1,7 @@
-"""Engine determinism regression: tuple ↔ closure ↔ chain.
+"""Engine determinism regression: tuple ↔ closure.
 
 The compiled engines (fragment step tables in ``repro.core.closures``;
-chain super-tables in ``repro.core.chains``; the interpreter's
-pre-bound decode closures) must be *bit-identical* to the
+the interpreter's pre-bound decode closures) must be *bit-identical* to the
 tuple-dispatch reference path on every simulated observable: cycles,
 instruction counts, program output, exit code, and the full event/stat
 dictionaries.  Only host wall-clock time may differ.
@@ -13,13 +12,10 @@ instruction costs, indirect-branch dispatch emits OP_IND_CHECK chains
 with profilers, and custom traces reshape fragment boundaries.  Signals
 and threads cover the alarm/safe-point and scheduler paths.
 
-The chain engine runs with ``chain_threshold=1`` so even the short test
-workloads promote chains immediately; a dedicated test asserts chains
-really get built (a chain run that never chains would vacuously pass
-the differential).  The closure engine's tier-2 promotion (a hot
-fragment's table rebuilt with generated-source segments) is pinned the
-same way: closure runs that promote on the first pass and runs that
-never promote must both match the tuple reference.
+The closure engine's tier-2 promotion (a hot fragment's table rebuilt
+with generated-source segments) is pinned separately: closure runs
+that promote on the first pass and runs that never promote must both
+match the tuple reference.
 """
 
 import hashlib
@@ -78,24 +74,14 @@ SOURCES = {
 }
 
 
-def _apply_engine(options, engine):
-    options.engine = engine
-    if engine == "chain":
-        # Promote at the first pass so the short test workloads
-        # actually exercise stitched tables.
-        options.chain_threshold = 1
-    return options
-
-
 @pytest.fixture(scope="module")
 def images():
     return {name: compile_source(src) for name, src in SOURCES.items()}
 
 
 def _make_runtime(image, client_factory, engine, factory=None):
-    options = _apply_engine(
-        (factory or RuntimeOptions.with_traces)(), engine
-    )
+    options = (factory or RuntimeOptions.with_traces)()
+    options.engine = engine
     return DynamoRIO(
         Process(image),
         options=options,
@@ -130,17 +116,6 @@ def test_runtime_engines_bit_identical(images, source_name, client_name):
     _assert_all_identical(
         [_run_runtime(image, factory, engine) for engine in ENGINES]
     )
-
-
-def test_chain_runs_actually_chain(images):
-    """The three-engine differentials are only meaningful if the chain
-    runs execute stitched tables; assert chains get built and stay
-    live on the plain loop workload."""
-    runtime = _make_runtime(images["loop"], lambda: None, "chain")
-    runtime.run()
-    report = runtime.chains.report()
-    assert report["chains_built"] > 0
-    assert report["chains_live"] > 0
 
 
 @pytest.mark.parametrize("mode", ["native", "emulation"])
@@ -204,7 +179,8 @@ def test_ablation_rows_bit_identical(images):
 
 def _run_traced(image, client_factory, engine):
     """Run with drtrace on (unbounded ring) and return (runtime, result)."""
-    options = _apply_engine(RuntimeOptions.with_traces(), engine)
+    options = RuntimeOptions.with_traces()
+    options.engine = engine
     options.trace_events = True
     options.trace_buffer = None
     runtime = DynamoRIO(
@@ -238,14 +214,13 @@ def _check_traced_group(image, factory):
     for other in streams[1:]:
         assert streams[0] == other
 
-    # Tracing must not perturb the simulated machine: tracing-off runs
-    # of the compiled engines land on the same cycles/output.
+    # Tracing must not perturb the simulated machine: a tracing-off run
+    # of the compiled engine lands on the same cycles/output.
     reference = runs[0][1]
-    for engine in ("closure", "chain"):
-        plain = _run_runtime(image, factory, engine)
-        assert plain.cycles == reference.cycles
-        assert plain.instructions == reference.instructions
-        assert plain.output == reference.output
+    plain = _run_runtime(image, factory, "closure")
+    assert plain.cycles == reference.cycles
+    assert plain.instructions == reference.instructions
+    assert plain.output == reference.output
 
 
 @pytest.mark.parametrize("client_name", ["none", "indirect_dispatch"])
@@ -269,7 +244,8 @@ def _run_faulted(image, fault_kind, seed, engine):
     """A guarded run with a seeded fault-injecting client."""
     from repro.resilience.faultinject import FaultInjectingClient, FaultPlan
 
-    options = _apply_engine(RuntimeOptions.with_traces(), engine)
+    options = RuntimeOptions.with_traces()
+    options.engine = engine
     options.guard_clients = True
     options.cache_consistency = True
     options.trace_events = True
@@ -291,8 +267,7 @@ def _run_faulted(image, fault_kind, seed, engine):
 def test_faulted_runs_bit_identical_across_engines(images, fault_kind, seed):
     """Injected client faults — and the guard's recovery from them —
     are deterministic: the same fault plan produces the same faults,
-    bailouts, cycles, and event stream on every engine, including the
-    chain engine whose stitched tables the bailout flush dissolves."""
+    bailouts, cycles, and event stream on every engine."""
     runs = [
         _run_faulted(images["loop"], fault_kind, seed, engine)
         for engine in ENGINES

@@ -14,14 +14,17 @@ import pytest
 
 import repro.core.closures as closures_mod
 import repro.core.execute as execute_mod
+from repro.asm import CodeBuilder, mem
 from repro.core import DynamoRIO, RuntimeOptions
 from repro.core.emit import OP_EXEC
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import OPND_REG
 from repro.isa.registers import Reg
 from repro.loader import Process
-from repro.machine.cost import CycleCounter
+from repro.loader.process import Layout
+from repro.machine.cost import CostModel, CycleCounter
 from repro.machine.cpu import CPU
+from repro.machine.errors import MachineFault
 from repro.machine.exec_ops import execute_noncti
 from repro.machine.memory import Memory
 from repro.machine.system import System
@@ -161,6 +164,79 @@ def test_promotion_pass_follows_the_option(loop_image, monkeypatch, threshold):
     ).run()
     assert promotions
     assert {count for _, count, _ in promotions} == {threshold}
+
+
+def _walker_image(load_first):
+    """A hot loop of ``[ebx+disp]`` stores and loads plus a push/pop
+    pair, walking ``ebx`` up until one access runs past the end of
+    memory in the middle of a segment."""
+    b = CodeBuilder(base=0x1000)
+    b.label("main")
+    b.mov(Reg.EBX, Layout.MEMORY_SIZE - 0x2000)
+    b.mov(Reg.ESI, 0)
+    b.label("loop")
+    b.add(Reg.ESI, 3)
+    if load_first:
+        b.mov(Reg.EDX, mem(base=Reg.EBX, disp=12))
+    b.mov(mem(base=Reg.EBX, disp=8), Reg.ESI)
+    b.push(Reg.EBX)
+    b.cmp(Reg.ESI, 0)
+    b.jz("loop")  # never taken: splits the loop into two linked blocks
+    b.mov(Reg.EDX, mem(base=Reg.EBX, disp=8))
+    b.pop(Reg.ECX)
+    b.add(Reg.EBX, 4)
+    b.add(Reg.ESI, Reg.EDX)
+    b.jmp("loop")
+    return b.image(entry="main")
+
+
+@pytest.mark.parametrize("load_first", [False, True])
+def test_mid_segment_memory_fault_matches_every_engine(load_first):
+    """Segments read and write the buffer inline.  A watch on the last
+    lines of memory must still see every store into them, and the
+    access that runs past memory must still raise the accessor's fault,
+    with the same cycle and instruction totals as the tuple engine and
+    a closure table that never promotes."""
+    image = _walker_image(load_first)
+    outcomes = {}
+    in_segment = {}
+    for engine, threshold in (
+        ("tuple", 1), ("closure", 1), ("closure", 10**9)
+    ):
+        process = Process(image)
+        watched = []
+        process.memory.add_write_watcher(
+            lambda addr, size: watched.append((addr, size)))
+        process.memory.watch_range(
+            Layout.MEMORY_SIZE - 0x100, Layout.MEMORY_SIZE)
+        options = RuntimeOptions.with_direct_links()
+        options.engine = engine
+        options.chain_threshold = threshold
+        runtime = DynamoRIO(process, options=options, cost_model=CostModel())
+        with pytest.raises(MachineFault) as exc:
+            runtime.run()
+        label = (engine, threshold)
+        outcomes[label] = (
+            str(exc.value),
+            runtime.counter.cycles,
+            runtime.executor.instructions,
+            watched,
+        )
+        in_segment[label] = any(
+            entry.frame.code.raw.co_filename == "<segment>"
+            for entry in exc.traceback
+        )
+    message, _, _, watched = outcomes[("closure", 1)]
+    assert message.startswith(
+        "%s past memory at 0x2000000" % ("read" if load_first else "write"))
+    assert len(watched) > 32
+    reference = outcomes[("tuple", 1)]
+    assert all(outcome == reference for outcome in outcomes.values())
+    assert in_segment == {
+        ("tuple", 1): False,
+        ("closure", 1): True,
+        ("closure", 10**9): False,
+    }
 
 
 # ------------------------------------------------ the segment compiler

@@ -13,7 +13,7 @@ The contract under ``options.shield``:
   to native) and never escape as a traceback;
 * the forward-progress watchdog breaks translate/flush livelock;
 * ladder events replay exactly onto the live stats and are identical
-  across the tuple, closure, and chain engines;
+  across the tuple and closure engines;
 * with the shield off, runs are bit-identical to pre-shield behavior.
 """
 
@@ -83,7 +83,7 @@ def test_errant_write_ladder_identical_across_engines(loop_image):
             loop_image, "errant_write", seed=1, engine=engine
         )
         streams.append(ladder_events(runtime, None))
-    assert streams[0] == streams[1] == streams[2]
+    assert streams[0] == streams[1]
     assert streams[0]  # the plan actually fired
 
 
@@ -190,16 +190,6 @@ def test_trace_faults_disable_traces(loop_image, loop_native):
     assert runtime.stats.shield_faults == len(runtime.rguard.fault_log)
 
 
-def test_chain_faults_disable_chains(loop_image, loop_native):
-    runtime, result = _run_with_plan(
-        loop_image, "runtime_raise:chain", start=1, period=1, engine="chain"
-    )
-    assert result.output == loop_native.output
-    assert "chains" in runtime.rguard.disabled
-    assert runtime.chains is None
-    assert runtime.options.engine == "closure"
-
-
 def test_evict_faults_disable_fifo_eviction(loop_image, loop_native):
     runtime, result = _run_with_plan(
         loop_image, "runtime_raise:evict", start=1, period=1,
@@ -210,9 +200,7 @@ def test_evict_faults_disable_fifo_eviction(loop_image, loop_native):
     assert runtime.options.cache_evict_policy == "flush"
 
 
-@pytest.mark.parametrize(
-    "kind", [k for k in RUNTIME_FAULT_KINDS if k != "runtime_raise:chain"]
-)
+@pytest.mark.parametrize("kind", RUNTIME_FAULT_KINDS)
 def test_every_fault_kind_contained_on_every_engine(
     indirect_image, indirect_native, kind
 ):

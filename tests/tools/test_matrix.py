@@ -17,9 +17,9 @@ from repro.tools.matrix import Cell
 PRESETS = {
     "chaos small": (chaos, "--seeds 4 --matrix small", 180, "db86a9ba9140"),
     "chaos full": (chaos, "--seeds 4 --matrix full", 840, "b45dfb18e774"),
-    "runtime small": (chaos, "--runtime --seeds 3 --matrix small", 150, "2723ac036b03"),
-    "runtime full": (chaos, "--runtime --seeds 3 --matrix full", 225, "cbe6318f8046"),
-    "detach_diff": (detach_diff, "", 21, "268524df49ca"),
+    "runtime small": (chaos, "--runtime --seeds 3 --matrix small", 96, "2634bded5373"),
+    "runtime full": (chaos, "--runtime --seeds 3 --matrix full", 144, "1caf071890b3"),
+    "detach_diff": (detach_diff, "", 14, "6d6d8d723767"),
     "equiv_sweep": (equiv_sweep, "", 308, "f57aaab9edf6"),
 }
 
@@ -83,7 +83,7 @@ def test_clean_cells_pass_with_one_native_run_per_image(
     )
     assert (rc, len(natives)) == (0, 1)
     assert [line.split(":")[0] for line in lines] == [
-        "ok   tuple", "ok   closure", "ok   chain", "3 runs, 0 failures"
+        "ok   tuple", "ok   closure", "2 runs, 0 failures"
     ]
 
 
