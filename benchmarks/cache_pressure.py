@@ -14,12 +14,9 @@ eviction policy:
                size; units grow when the regenerated-vs-replaced ratio
                exceeds ``cache_regen_threshold``).
 
-Every cell runs under both execution engines (tuple, closure) and
-asserts the simulated results — cycles, instructions, output, exit
-code — are bit-identical across engines; any divergence exits
-non-zero.  Output and exit code must also be identical across
-*policies* at the same limit (eviction may never change program
-behavior, only overhead cycles).  Finally the harness gates the
+Output and exit code must be identical across *policies* at the same
+limit (eviction may never change program behavior, only overhead
+cycles); any divergence exits non-zero.  The harness also gates the
 tentpole claim: at every constrained limit, fifo must retranslate
 strictly less than flush (retranslations = bbs + traces built).
 
@@ -44,7 +41,6 @@ import sys
 import time
 
 from repro.core import DynamoRIO, RuntimeOptions
-from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.cost import CostModel
 from repro.workloads import load_benchmark
@@ -65,20 +61,19 @@ FULL_FRACTIONS = (0.4, 0.7)
 QUICK_FRACTIONS = (0.5,)
 
 
-def _options(policy_key, engine, limit):
+def _options(policy_key, limit):
     policy, adaptive = dict(POLICIES)[policy_key]
     options = RuntimeOptions()
     options.code_cache_limit = limit
     options.cache_evict_policy = policy
     options.cache_adaptive = adaptive
-    options.engine = engine
     return options
 
 
-def _run_once(image, policy_key, engine, limit):
+def _run_once(image, policy_key, limit):
     """One timed run; returns (seconds, RunResult)."""
     runtime = DynamoRIO(
-        Process(image), options=_options(policy_key, engine, limit),
+        Process(image), options=_options(policy_key, limit),
         cost_model=CostModel(),
     )
     start = time.perf_counter()
@@ -87,18 +82,13 @@ def _run_once(image, policy_key, engine, limit):
     return elapsed, result
 
 
-def _measure(image, policy_key, engine, limit, repeats):
+def _measure(image, policy_key, limit, repeats):
     times = []
     result = None
     for _ in range(repeats):
-        elapsed, result = _run_once(image, policy_key, engine, limit)
+        elapsed, result = _run_once(image, policy_key, limit)
         times.append(elapsed)
     return statistics.median(times), result
-
-
-def _simulated(result):
-    return (result.cycles, result.instructions, result.output,
-            result.exit_code)
 
 
 def probe_footprint(image):
@@ -137,29 +127,16 @@ def run_sweep(workloads, scale, repeats, fractions):
             behavior = None  # (output, exit_code), policy-invariant
             per_policy = {}
             for policy_key, _ in POLICIES:
-                timings = {}
-                results = {}
-                for engine in ENGINES:
-                    timings[engine], results[engine] = _measure(
-                        image, policy_key, engine, limit, repeats
-                    )
-                reference = _simulated(results["closure"])
-                for engine in ENGINES:
-                    if _simulated(results[engine]) != reference:
-                        failures.append(
-                            "engine divergence: %s limit=%d %s: "
-                            "closure=%r %s=%r"
-                            % (name, limit, policy_key, reference[:2],
-                               engine, _simulated(results[engine])[:2])
-                        )
+                seconds, result = _measure(
+                    image, policy_key, limit, repeats
+                )
                 if behavior is None:
-                    behavior = (reference[2], reference[3])
-                elif (reference[2], reference[3]) != behavior:
+                    behavior = (result.output, result.exit_code)
+                elif (result.output, result.exit_code) != behavior:
                     failures.append(
                         "policy changed program behavior: %s limit=%d %s"
                         % (name, limit, policy_key)
                     )
-                result = results["closure"]
                 ev = result.events
                 cell = {
                     "workload": name,
@@ -172,8 +149,7 @@ def run_sweep(workloads, scale, repeats, fractions):
                     "cache_evictions": ev["cache_evictions"],
                     "fragment_evictions": ev["cache_fragment_evictions"],
                     "cache_resizes": ev["cache_resizes"],
-                    "tuple_s": round(timings["tuple"], 4),
-                    "closure_s": round(timings["closure"], 4),
+                    "host_s": round(seconds, 4),
                 }
                 cells.append(cell)
                 per_policy[policy_key] = cell
@@ -184,7 +160,7 @@ def run_sweep(workloads, scale, repeats, fractions):
                         name, limit, policy_key, result.cycles,
                         cell["retranslations"], ev["cache_evictions"],
                         ev["cache_fragment_evictions"], ev["cache_resizes"],
-                        timings["closure"],
+                        seconds,
                     )
                 )
             # The tentpole gate: single-fragment FIFO eviction must

@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
-"""Host wall-clock benchmark: tuple vs closure engines.
+"""Host wall-clock benchmark of the interpreter and the runtime.
 
-Runs the tier-2 workload sweep through both execution engines of each
-executor — the interpreter (``engine="closure"`` / ``engine="tuple"``)
-and the DynamoRIO runtime (``options.engine``) — timing host seconds
-while asserting the *simulated* results (cycles, instructions, output)
-are bit-identical across engines.  Simulated numbers measure the machine
-being modelled; host seconds measure this Python implementation.  Only
-the latter may change between engines.
+Runs the workload sweep through the interpreter (native mode) and the
+DynamoRIO runtime under two Table-1 rows, timing host seconds per cell
+next to its *simulated* results (cycles, instructions).  Simulated
+numbers measure the machine being modelled; host seconds measure this
+Python implementation.
 
 Usage::
 
@@ -54,38 +52,28 @@ FULL_WORKLOADS = ("crafty", "vpr", "gzip", "mcf", "mgrid")
 QUICK_WORKLOADS = ("crafty", "vpr")
 
 
-def _run_once(image, config, kind, engine):
+def _run_once(image, config, kind):
     """One timed run; returns (seconds, RunResult)."""
     process = Process(image)
     if kind == "interp":
-        interp = Interpreter(
-            process, CostModel(), mode="native", engine=engine
-        )
-        start = time.perf_counter()
-        result = interp.run()
-        elapsed = time.perf_counter() - start
+        runner = Interpreter(process, CostModel(), mode="native")
     else:
-        options = OPTION_FACTORIES[config]()
-        options.engine = engine
-        runtime = DynamoRIO(process, options=options, cost_model=CostModel())
-        start = time.perf_counter()
-        result = runtime.run()
-        elapsed = time.perf_counter() - start
-    return elapsed, result
+        runner = DynamoRIO(
+            process, options=OPTION_FACTORIES[config](), cost_model=CostModel()
+        )
+    start = time.perf_counter()
+    result = runner.run()
+    return time.perf_counter() - start, result
 
 
-def _measure(image, config, kind, engine, repeats):
+def _measure(image, config, kind, repeats):
     """Median host seconds over ``repeats`` fresh runs + one result."""
     times = []
     result = None
     for _ in range(repeats):
-        elapsed, result = _run_once(image, config, kind, engine)
+        elapsed, result = _run_once(image, config, kind)
         times.append(elapsed)
     return statistics.median(times), result
-
-
-def _simulated(result):
-    return (result.cycles, result.instructions, result.output)
 
 
 def run_sweep(workloads, scale, repeats):
@@ -93,68 +81,17 @@ def run_sweep(workloads, scale, repeats):
     for name in workloads:
         image = load_benchmark(name, scale)
         for config, kind in CONFIGS:
-            engines = ("closure", "tuple")
-            timings = {}
-            results = {}
-            for engine in engines:
-                timings[engine], results[engine] = _measure(
-                    image, config, kind, engine, repeats
-                )
-            reference = _simulated(results["closure"])
-            for engine in engines:
-                if _simulated(results[engine]) != reference:
-                    raise AssertionError(
-                        "engines diverged on %s/%s: closure=%r %s=%r"
-                        % (
-                            name,
-                            config,
-                            reference[:2],
-                            engine,
-                            _simulated(results[engine])[:2],
-                        )
-                    )
-            closure_s = timings["closure"]
-            tuple_s = timings["tuple"]
-            cell = {
+            seconds, result = _measure(image, config, kind, repeats)
+            cells.append({
                 "workload": name,
                 "config": config,
-                "cycles": reference[0],
-                "instructions": reference[1],
-                "closure_s": round(closure_s, 4),
-                "tuple_s": round(tuple_s, 4),
-                "speedup": round(tuple_s / closure_s, 3),
-            }
-            cells.append(cell)
-            print(
-                "%-8s %-7s %12d cycles  closure %.3fs  tuple %.3fs  %.2fx"
-                % (
-                    name,
-                    config,
-                    reference[0],
-                    closure_s,
-                    tuple_s,
-                    cell["speedup"],
-                )
-            )
+                "cycles": result.cycles,
+                "instructions": result.instructions,
+                "host_s": round(seconds, 4),
+            })
+            print("%-8s %-7s %12d cycles  %.3fs"
+                  % (name, config, result.cycles, seconds))
     return cells
-
-
-def geomean(values):
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1.0 / len(values))
-
-
-def summarize(cells):
-    per_config = {}
-    for config, _kind in CONFIGS:
-        speedups = [c["speedup"] for c in cells if c["config"] == config]
-        per_config[config] = round(geomean(speedups), 3)
-    return {
-        "geomean_speedup": round(geomean([c["speedup"] for c in cells]), 3),
-        "per_config": per_config,
-    }
 
 
 def check_against(cells, golden_path, scale):
@@ -225,28 +162,17 @@ def main(argv=None):
     repeats = args.repeats or (1 if args.quick else 3)
 
     cells = run_sweep(workloads, scale, repeats)
-    summary = summarize(cells)
     report = {
         "scale": scale,
         "repeats": repeats,
         "quick": args.quick,
         "python": sys.version.split()[0],
         "results": cells,
-        "summary": summary,
         "meta": {
             "commit": args.commit,
             "date": args.date,
         },
     }
-    print(
-        "geomean speedup: %.2fx  (%s)"
-        % (
-            summary["geomean_speedup"],
-            "  ".join(
-                "%s %.2fx" % (k, v) for k, v in summary["per_config"].items()
-            ),
-        )
-    )
 
     if args.check:
         drift = check_against(cells, args.check, scale)

@@ -17,8 +17,8 @@ dispatcher).
 
 Runs of consecutive straight-line ``OP_EXEC`` ops are *fused* into a
 single step that executes the whole run in one call (charging cycles
-and instructions exactly as the per-op engine would, including on a
-mid-run fault or program exit).  Fusion never spans an intra-fragment
+and instructions exactly as one step per instruction would, including
+on a mid-run fault or program exit).  Fusion never spans an intra-fragment
 branch target, so ``OP_LOCAL_BR`` indices stay addressable.
 
 Step tables come in two tiers.  Every fragment is emitted with the
@@ -42,9 +42,9 @@ be bound at compile time.  Link stubs are bound as objects and their
 ``linked_to`` fields read at exit time, preserving the link/unlink and
 fragment-replacement semantics unchanged.
 
-Compiled steps produce **bit-identical** cycles, stats, events and
-output to the tuple-dispatch engine; the determinism regression tests
-assert this end to end.
+Both tiers produce **bit-identical** cycles, stats, events and output;
+the golden digests of ``GOLDENS.json`` and the determinism tests pin
+this end to end.
 """
 
 import sys
@@ -248,8 +248,8 @@ def compile_steps(fragment, runtime, compile_segment=None):
                             fn(cpu)
                     finally:
                         # Flush even when an instruction faults or exits
-                        # the program: totals match the per-op engine at
-                        # every observable point.
+                        # the program: totals match one step per
+                        # instruction at every observable point.
                         counter.cycles += cycles
                         ex.instructions += done
                     return _nxt
@@ -823,7 +823,7 @@ def compile_segment(runtime, code, run, nxt):
     On a mid-run fault (or program exit) the exception's traceback
     line identifies exactly how far the run got — every instruction
     occupies exactly one source line — so the flushed totals match
-    the per-instruction engines at every observable point; charges
+    one step per instruction at every observable point; charges
     are deferred into locals, as the generic fused step already
     does, so only the final sums are ever visible.
     """

@@ -33,12 +33,10 @@ points are acted on at the next one, giving mid-fragment delivery a
 deterministic latency bounded by the longest fused run (at most
 ``options.max_bb_instrs`` instructions).
 
-The same table drives both engines so they stay bit-identical:
-
-* the tuple engine checks ``poll_ops`` at the top of its op loop;
-* closure step tables, cold and hot, are wrapped once, at compile
-  time, by :func:`wrap_poll_steps` (called from
-  :func:`~repro.core.closures.compile_steps`).
+Closure step tables, cold and hot, are wrapped once, at compile time,
+by :func:`wrap_poll_steps` (called from
+:func:`~repro.core.closures.compile_steps`), so both tiers poll at the
+same points.
 
 Polling is compiled in only under ``options.precise_interrupts``; the
 default configuration carries no polls and is bit-identical to the

@@ -7,7 +7,6 @@ from repro.api.dr import dr_insert_clean_call, dr_set_exit_stub
 from repro.core import RuntimeOptions
 from repro.core.code_cache import CacheFullError, CacheUnit
 from repro.core.fragments import Fragment
-from repro.core.options import ENGINES
 from repro.ir.instrlist import InstrList
 from repro.ir.create import INSTR_CREATE_mov, OPND_CREATE_MEM, OPND_CREATE_INT32
 
@@ -164,18 +163,15 @@ class TestCacheEviction:
         self, indirect_image, indirect_native
     ):
         """Constant eviction while trace recordings are active (tiny
-        cache, hair-trigger threshold) must stay transparent on both
-        engines."""
-        for engine in ("closure", "tuple"):
-            opts = RuntimeOptions.with_traces()
-            opts.code_cache_limit = 700
-            opts.trace_threshold = 3  # recordings active most of the run
-            opts.engine = engine
-            _dr, result = run_under(indirect_image, opts)
-            assert result.output == indirect_native.output
-            assert result.exit_code == indirect_native.exit_code
-            assert result.events["cache_evictions"] > 0
-            assert result.events["traces_built"] > 0
+        cache, hair-trigger threshold) must stay transparent."""
+        opts = RuntimeOptions.with_traces()
+        opts.code_cache_limit = 700
+        opts.trace_threshold = 3  # recordings active most of the run
+        _dr, result = run_under(indirect_image, opts)
+        assert result.output == indirect_native.output
+        assert result.exit_code == indirect_native.exit_code
+        assert result.events["cache_evictions"] > 0
+        assert result.events["traces_built"] > 0
 
     def test_eviction_flush_abandons_stale_recording(self, loop_image):
         """An eviction flush must squash an in-progress trace recording
@@ -246,9 +242,9 @@ class TestCacheEviction:
 
     def test_block_larger_than_limit_end_to_end(self):
         """A program whose straight-line block exceeds the per-unit
-        limit still runs transparently under fifo on every engine: the
-        eviction loop drains the unit and the empty-cache rule accepts
-        the block as sole resident."""
+        limit still runs transparently under fifo, on tier-2 and cold
+        tables alike: the eviction loop drains the unit and the
+        empty-cache rule accepts the block as sole resident."""
         from repro.core import DynamoRIO
         from repro.loader import Process
         from repro.machine.interp import run_native
@@ -278,11 +274,11 @@ class TestCacheEviction:
         )
 
         reference = None
-        for engine in ENGINES:
+        for threshold in (1, 10**9):
             opts = RuntimeOptions.with_traces()
             opts.code_cache_limit = 2 * (biggest - 1)
             opts.cache_evict_policy = "fifo"
-            opts.engine = engine
+            opts.chain_threshold = threshold
             _dr, result = run_under(image, opts)
             assert result.output == native.output
             assert result.exit_code == native.exit_code

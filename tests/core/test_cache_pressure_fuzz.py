@@ -2,12 +2,13 @@
 
 Each seed draws a random ``(workload, code_cache_limit, eviction
 policy, adaptive sizing, trace/promotion thresholds, client)`` cell
-and runs it under both execution engines.  The properties:
+and runs it twice: promoting at the drawn threshold, and on cold
+tables only.  The properties:
 
-* **Engine bit-identity** — cycles, instructions, output, exit code
-  and the full event/stat dictionaries are identical across the
-  tuple and closure engines (capacity management may change
-  *overhead*, never the simulated machine's determinism).
+* **Tier bit-identity** — cycles, instructions, output, exit code
+  and the full event/stat dictionaries are identical whether hot
+  fragments run tier-2 segments or stay cold (capacity management may
+  change *overhead*, never the simulated machine's determinism).
 * **Transparency** — output and exit code equal native execution, at
   every limit and policy.
 * **No stale state survives eviction** — after the run: every resident
@@ -32,7 +33,6 @@ from repro.clients import (
     StrengthReduction,
 )
 from repro.core import DynamoRIO, RuntimeOptions
-from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.cost import CostModel
 from repro.machine.interp import run_native
@@ -76,24 +76,23 @@ def _draw_cell(seed):
     }
 
 
-def _options(cell, engine):
+def _options(cell, chain_threshold):
     opts = RuntimeOptions.with_traces()
     opts.code_cache_limit = cell["limit"]
     opts.cache_evict_policy = cell["policy"]
     opts.cache_adaptive = cell["adaptive"]
     opts.trace_threshold = cell["trace_threshold"]
-    opts.engine = engine
-    opts.chain_threshold = cell["chain_threshold"]
+    opts.chain_threshold = chain_threshold
     if cell["traced"]:
         opts.trace_events = True
         opts.trace_buffer = None  # unbounded: replay must be exact
     return opts
 
 
-def _run(cell, engine):
+def _run(cell, chain_threshold):
     runtime = DynamoRIO(
         Process(_image(cell["source"])),
-        options=_options(cell, engine),
+        options=_options(cell, chain_threshold),
         client=cell["client"][1](),
         cost_model=CostModel(),
     )
@@ -142,7 +141,7 @@ def _assert_cache_invariants(runtime):
 def _check_seed(seed):
     cell = _draw_cell(seed)
     native = None
-    runs = [_run(cell, engine) for engine in ENGINES]
+    runs = [_run(cell, t) for t in (cell["chain_threshold"], 10**9)]
     _image(cell["source"])  # ensure native result is cached
     native = _native[cell["source"]]
 

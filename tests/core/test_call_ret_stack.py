@@ -6,8 +6,8 @@ target pop pack and unpack the ``Memory.view()`` buffer directly when
 the stack slot is in range.  A push tests ``mem.checked_stores`` at
 store time and goes through ``write_u32`` while a watch or protection
 is armed; a slot past memory goes through the accessor, which raises
-its own fault.  Each test compares against the tuple engine, which
-always calls the accessors.
+its own fault.  Each test runs a promoted table and a cold one against
+the default threshold, and all three must agree exactly.
 """
 
 import sys
@@ -25,9 +25,9 @@ from repro.loader.process import Layout
 from repro.machine.cost import CostModel
 from repro.machine.errors import MachineFault
 
-# (engine, chain_threshold): the reference, a closure table promoted on
-# its first pass, and one that never promotes.
-RUNS = (("tuple", 20), ("closure", 1), ("closure", 10**9))
+# chain_threshold: the default (the reference), a table promoted on its
+# first pass, and one that never promotes.
+THRESHOLDS = (20, 1, 10**9)
 
 _SIZE = Layout.MEMORY_SIZE
 
@@ -110,11 +110,10 @@ def _step_names(run):
 def test_watch_armed_mid_run_sees_every_call_push(factory, steps):
     image = _calls_image()
     outcomes = {}
-    for engine, threshold in RUNS:
+    for threshold in THRESHOLDS:
         process = Process(image)
         log = []
         options = factory()
-        options.engine = engine
         options.chain_threshold = threshold
         options.trace_threshold = 5
         runtime = DynamoRIO(
@@ -123,17 +122,17 @@ def test_watch_armed_mid_run_sees_every_call_push(factory, steps):
             client=_ArmWatchAt(100, process.memory, log),
             cost_model=CostModel(),
         )
-        if (engine, threshold) == ("closure", 1):
+        if threshold == 1:
             results = []
             names = _step_names(lambda: results.append(runtime.run()))
             assert steps <= names, names
             result = results[0]
         else:
             result = runtime.run()
-        outcomes[(engine, threshold)] = (
+        outcomes[threshold] = (
             result.cycles, result.instructions, result.events, log,
         )
-    reference = outcomes[("tuple", 20)]
+    reference = outcomes[20]
     # Two pushes per iteration from the 100th block entry on.
     assert len(reference[3]) > 200
     for outcome in outcomes.values():
@@ -179,23 +178,23 @@ def _fault_image(kind):
 def test_stack_slot_past_memory_raises_the_accessor_fault(kind, message):
     image = _fault_image(kind)
     outcomes = {}
-    for engine, threshold in RUNS:
+    for threshold in THRESHOLDS:
         runtime = DynamoRIO(
             Process(image),
             options=RuntimeOptions(
-                engine=engine, chain_threshold=threshold, trace_threshold=5
+                chain_threshold=threshold, trace_threshold=5
             ),
             cost_model=CostModel(),
         )
         with pytest.raises(MachineFault) as exc:
             runtime.run()
-        outcomes[(engine, threshold)] = (
+        outcomes[threshold] = (
             str(exc.value),
             runtime.counter.cycles,
             runtime.executor.instructions,
             runtime.stats.traces_built,
         )
-    reference = outcomes[("tuple", 20)]
+    reference = outcomes[20]
     assert reference[0].startswith(message)
     if kind == "inline_call":
         assert reference[3] >= 1

@@ -61,26 +61,22 @@ class _ChurningClient(Client):
         self.replaced.discard(tag)
 
 
-def _churn_options(engine, policy="flush"):
+def _churn_options(policy="flush"):
     opts = RuntimeOptions.with_traces()
     opts.code_cache_limit = 700  # constant pressure (test_cache_and_stubs)
     opts.cache_evict_policy = policy
     opts.trace_threshold = 5
-    opts.engine = engine
     opts.trace_events = True
     opts.trace_buffer = None  # unbounded: replay must be exact
     return opts
 
 
 @pytest.mark.parametrize("policy", ["flush", "fifo"])
-@pytest.mark.parametrize("engine", ["closure", "tuple"])
 def test_eviction_during_replacement_stays_transparent(
-    loop_image, loop_native, engine, policy
+    loop_image, loop_native, policy
 ):
     client = _ChurningClient()
-    dr, result = run_under(
-        loop_image, _churn_options(engine, policy), client=client
-    )
+    dr, result = run_under(loop_image, _churn_options(policy), client=client)
 
     # The interplay actually happened: fragments were replaced AND the
     # cache evicted fragments (including replaced ones) mid-run.
@@ -113,9 +109,7 @@ def test_no_stale_fragments_remain(loop_image, policy):
     """After the run, every live cache entry is a non-deleted fragment
     and every linked stub points at a live fragment."""
     client = _ChurningClient()
-    dr, _ = run_under(
-        loop_image, _churn_options("closure", policy), client=client
-    )
+    dr, _ = run_under(loop_image, _churn_options(policy), client=client)
     thread = dr.current_thread
     for cache in (thread.bb_cache, thread.trace_cache):
         for fragment in cache.fragments.values():
@@ -125,16 +119,15 @@ def test_no_stale_fragments_remain(loop_image, policy):
                     assert not stub.linked_to.deleted
 
 
-@pytest.mark.parametrize("engine", ["closure", "tuple"])
 def test_fifo_eviction_trace_heads_and_replacement(
-    indirect_image, indirect_native, engine
+    indirect_image, indirect_native
 ):
     """Single-fragment eviction interleaved with trace-head promotion
     and in-fragment replacement on the indirect workload: hair-trigger
     tracing means victims are routinely trace heads or trace members,
     and the churning client re-replaces every rebuild."""
     client = _ChurningClient()
-    opts = _churn_options(engine, policy="fifo")
+    opts = _churn_options(policy="fifo")
     opts.trace_threshold = 3  # promotions throughout the run
     dr, result = run_under(indirect_image, opts, client=client)
 

@@ -149,14 +149,12 @@ class TestMidTraceSignal:
         ]
         assert delivered and delivered[-1].data.get("trace_squashed") is True
 
-    @pytest.mark.parametrize("engine", ["closure", "tuple"])
-    def test_hair_trigger_traces_stay_transparent(self, signal_image, engine):
+    def test_hair_trigger_traces_stay_transparent(self, signal_image):
         """With a hair-trigger threshold, recordings are active when
         alarms land; output and signal count must still match native."""
         native = run_native(Process(signal_image))
         options = RuntimeOptions.with_traces()
         options.trace_threshold = 2
-        options.engine = engine
         result = DynamoRIO(Process(signal_image), options=options).run()
         assert result.output == native.output
         assert result.exit_code == native.exit_code

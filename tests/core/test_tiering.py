@@ -3,7 +3,7 @@
 Every fragment is emitted with the cheap closure table.  The pass that
 brings ``fragment.pass_counter`` to ``options.chain_threshold`` rebuilds
 it with :func:`repro.core.closures.compile_segment` for each fused run,
-under the default engine and options.  These tests pin both halves of
+under the default options.  These tests pin both halves of
 that contract: hot code really runs segments from that pass on, and
 code that never gets hot never pays for codegen.
 """
@@ -80,7 +80,6 @@ def test_hot_loop_runs_segments_from_threshold_pass(
 ):
     log, promotions = _spy_compiles(monkeypatch)
     runtime = DynamoRIO(Process(loop_image), options=factory())
-    assert runtime.options.engine == "closure"
     threshold = runtime.options.chain_threshold
     result = runtime.run()
     assert result.output == loop_native.output
@@ -195,14 +194,12 @@ def test_mid_segment_memory_fault_matches_every_engine(load_first):
     """Segments read and write the buffer inline.  A watch on the last
     lines of memory must still see every store into them, and the
     access that runs past memory must still raise the accessor's fault,
-    with the same cycle and instruction totals as the tuple engine and
-    a closure table that never promotes."""
+    with the same cycle and instruction totals as a table that never
+    promotes and one promoted at the default threshold."""
     image = _walker_image(load_first)
     outcomes = {}
     in_segment = {}
-    for engine, threshold in (
-        ("tuple", 1), ("closure", 1), ("closure", 10**9)
-    ):
+    for threshold in (1, 20, 10**9):
         process = Process(image)
         watched = []
         process.memory.add_write_watcher(
@@ -210,33 +207,26 @@ def test_mid_segment_memory_fault_matches_every_engine(load_first):
         process.memory.watch_range(
             Layout.MEMORY_SIZE - 0x100, Layout.MEMORY_SIZE)
         options = RuntimeOptions.with_direct_links()
-        options.engine = engine
         options.chain_threshold = threshold
         runtime = DynamoRIO(process, options=options, cost_model=CostModel())
         with pytest.raises(MachineFault) as exc:
             runtime.run()
-        label = (engine, threshold)
-        outcomes[label] = (
+        outcomes[threshold] = (
             str(exc.value),
             runtime.counter.cycles,
             runtime.executor.instructions,
             watched,
         )
-        in_segment[label] = any(
+        in_segment[threshold] = any(
             entry.frame.code.raw.co_filename == "<segment>"
             for entry in exc.traceback
         )
-    message, _, _, watched = outcomes[("closure", 1)]
+    message, _, _, watched = outcomes[1]
     assert message.startswith(
         "%s past memory at 0x2000000" % ("read" if load_first else "write"))
     assert len(watched) > 32
-    reference = outcomes[("tuple", 1)]
-    assert all(outcome == reference for outcome in outcomes.values())
-    assert in_segment == {
-        ("tuple", 1): False,
-        ("closure", 1): True,
-        ("closure", 10**9): False,
-    }
+    assert all(outcome == outcomes[1] for outcome in outcomes.values())
+    assert in_segment[1] and not in_segment[10**9]
 
 
 # ------------------------------------------------ the segment compiler

@@ -7,7 +7,7 @@ The contract (paper Section 2's transparent exit + precise interrupts):
   every step of every fragment;
 * under ``precise_interrupts``, alarms are delivered *mid-fragment*
   with latency bounded by the longest fused run (``max_bb_instrs``),
-  and both engines stay bit-identical;
+  and tier-2 and cold tables stay bit-identical;
 * ``Runtime.detach()`` translates threads back to application state
   and continues natively with output identical to a never-attached
   run; the translated register state equals a pure interpreter run to
@@ -25,7 +25,6 @@ from repro.api.dr import (
     dr_register_event_tracer,
 )
 from repro.core import DynamoRIO, RuntimeOptions
-from repro.core.options import ENGINES
 from repro.loader import Process
 from repro.machine.interp import Interpreter, run_native
 from repro.minicc import compile_source
@@ -71,9 +70,9 @@ def signal_native(signal_image):
     return run_native(Process(signal_image))
 
 
-def _run(image, engine, client=None, **overrides):
+def _run(image, client=None, **overrides):
     runtime = DynamoRIO(
-        Process(image), options=detach_options(engine, **overrides), client=client
+        Process(image), options=detach_options(**overrides), client=client
     )
     return runtime, runtime.run()
 
@@ -115,9 +114,8 @@ class DetachAtBuild(Client):
 # ------------------------------------------------------ translation tables
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_translation_round_trip_every_fragment(loop_image, engine):
-    runtime, _ = _run(loop_image, engine)
+def test_translation_round_trip_every_fragment(loop_image):
+    runtime, _ = _run(loop_image)
     fragments = _cached_fragments(runtime)
     assert fragments, "run left no cached fragments to check"
     for fragment in fragments:
@@ -135,11 +133,10 @@ def test_translation_round_trip_every_fragment(loop_image, engine):
 # ------------------------------------------------- mid-fragment interrupts
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 def test_signal_latency_bounded_and_mid_fragment(
-    signal_image, signal_native, engine
+    signal_image, signal_native
 ):
-    runtime, result = _run(signal_image, engine)
+    runtime, result = _run(signal_image)
     assert result.output == signal_native.output
     assert result.exit_code == signal_native.exit_code
 
@@ -161,8 +158,8 @@ def test_signal_latency_bounded_and_mid_fragment(
 def test_precise_mode_bit_identical_across_engines(signal_image):
     streams = []
     results = []
-    for engine in ENGINES:
-        runtime, result = _run(signal_image, engine)
+    for threshold in (1, 10**9):
+        runtime, result = _run(signal_image, chain_threshold=threshold)
         results.append(result)
         streams.append(
             [(e.kind, e.tag, e.data) for e in runtime.observer.events()]
@@ -174,7 +171,7 @@ def test_precise_mode_bit_identical_across_engines(signal_image):
         assert result.output == base.output
         assert result.exit_code == base.exit_code
     # Signal deliveries (including mid-fragment flags and latencies)
-    # are identical event-for-event across engines.
+    # are identical event-for-event across the tiers.
     sigs = [
         [e for e in s if e[0] == EV_SIGNAL_DELIVERED] for s in streams
     ]
@@ -198,9 +195,8 @@ def test_polls_are_free_when_disabled(loop_image):
 # -------------------------------------------------------- detach / native
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_detach_then_native_is_bit_identical(loop_image, loop_native, engine):
-    runtime, result = _run(loop_image, engine, client=DetachClient(at=7))
+def test_detach_then_native_is_bit_identical(loop_image, loop_native):
+    runtime, result = _run(loop_image, client=DetachClient(at=7))
     assert result.output == loop_native.output
     assert result.exit_code == loop_native.exit_code
     assert runtime.stats.detaches == 1
@@ -208,22 +204,20 @@ def test_detach_then_native_is_bit_identical(loop_image, loop_native, engine):
     assert runtime.detached
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_detach_with_pending_signal(signal_image, signal_native, engine):
+def test_detach_with_pending_signal(signal_image, signal_native):
     # Detach while alarms are armed: the pending deadline must carry
     # over and deliver during the native continuation.
-    runtime, result = _run(signal_image, engine, client=DetachAtBuild(at=5))
+    runtime, result = _run(signal_image, client=DetachAtBuild(at=5))
     assert result.output == signal_native.output
     assert result.exit_code == signal_native.exit_code
     assert runtime.stats.detaches == 1
     assert runtime.system.signals_delivered >= 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_translated_state_matches_interpreter(loop_image, engine):
+def test_translated_state_matches_interpreter(loop_image):
     runtime = DynamoRIO(
         Process(loop_image),
-        options=detach_options(engine),
+        options=detach_options(),
         client=DetachClient(at=9),
     )
     snapshot = {}
@@ -266,12 +260,11 @@ def test_translated_state_matches_interpreter(loop_image, engine):
 # ------------------------------------------------------------- re-attach
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 def test_reattach_resumes_with_replay_exact_stats(
-    loop_image, loop_native, engine
+    loop_image, loop_native
 ):
     runtime, result = _run(
-        loop_image, engine, client=DetachClient(at=7, reattach_after=600)
+        loop_image, client=DetachClient(at=7, reattach_after=600)
     )
     assert result.output == loop_native.output
     assert result.exit_code == loop_native.exit_code
@@ -283,8 +276,7 @@ def test_reattach_resumes_with_replay_exact_stats(
     assert replay_stats(runtime.observer.events()) == runtime.stats.as_dict()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_dr_reattach_bounces_immediately(loop_image, loop_native, engine):
+def test_dr_reattach_bounces_immediately(loop_image, loop_native):
     class Bounce(DetachAtBuild):
         def basic_block(self, context, tag, ilist):
             self.calls += 1
@@ -292,7 +284,7 @@ def test_dr_reattach_bounces_immediately(loop_image, loop_native, engine):
                 dr_detach(self)
                 dr_reattach(self)
 
-    runtime, result = _run(loop_image, engine, client=Bounce(at=4))
+    runtime, result = _run(loop_image, client=Bounce(at=4))
     assert result.output == loop_native.output
     assert result.exit_code == loop_native.exit_code
     assert runtime.stats.detaches == 1
@@ -309,7 +301,7 @@ def test_detach_unregisters_tracers_reattach_restores(
             dr_register_event_tracer(self, lambda ev: kinds.append(ev.kind))
 
     runtime, result = _run(
-        loop_image, "closure", client=Tracing(at=7, reattach_after=400)
+        loop_image, client=Tracing(at=7, reattach_after=400)
     )
     assert result.output == loop_native.output
     # Tracers are unregistered *before* the detach event is emitted —
@@ -332,7 +324,7 @@ def test_detach_flushes_through_delete_chokepoint(loop_image, loop_native):
         def fragment_deleted(self, context, tag):
             deleted.append(tag)
 
-    runtime, result = _run(loop_image, "closure", client=Watch(at=7))
+    runtime, result = _run(loop_image, client=Watch(at=7))
     assert result.output == loop_native.output
     # Every cached fragment went through fragment_deleted; nothing is
     # left resident after a stay-native detach.

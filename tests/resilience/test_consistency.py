@@ -28,9 +28,9 @@ def smc_native(smc_image):
     return run_native(Process(smc_image))
 
 
-def _smc_options(engine, consistency=True):
+def _smc_options(consistency=True, chain_threshold=20):
     options = RuntimeOptions.with_traces()
-    options.engine = engine
+    options.chain_threshold = chain_threshold
     options.cache_consistency = consistency
     options.trace_events = True
     options.trace_buffer = None
@@ -45,9 +45,8 @@ def test_native_smc_output_shape(smc_native):
     assert smc_native.exit_code == 0
 
 
-@pytest.mark.parametrize("engine", ["closure", "tuple"])
-def test_smc_invalidation_matches_native(smc_image, smc_native, engine):
-    runtime = DynamoRIO(Process(smc_image), options=_smc_options(engine))
+def test_smc_invalidation_matches_native(smc_image, smc_native):
+    runtime = DynamoRIO(Process(smc_image), options=_smc_options())
     result = runtime.run()
     assert result.output == smc_native.output
     assert result.exit_code == smc_native.exit_code
@@ -63,7 +62,7 @@ def test_smc_diverges_without_consistency(smc_image, smc_native):
     running and the patch is never picked up."""
     runtime = DynamoRIO(
         Process(smc_image),
-        options=_smc_options("closure", consistency=False),
+        options=_smc_options(consistency=False),
     )
     result = runtime.run()
     assert result.output == b"A" * 12
@@ -72,9 +71,12 @@ def test_smc_diverges_without_consistency(smc_image, smc_native):
 
 
 def test_smc_engines_bit_identical(smc_image):
+    """Invalidated tier-2 tables and cold tables agree exactly."""
     results = [
-        DynamoRIO(Process(smc_image), options=_smc_options(engine)).run()
-        for engine in ("closure", "tuple")
+        DynamoRIO(
+            Process(smc_image), options=_smc_options(chain_threshold=threshold)
+        ).run()
+        for threshold in (1, 10**9)
     ]
     a, b = results
     assert a.cycles == b.cycles
@@ -87,11 +89,11 @@ def test_smc_invalidation_charges_cycles(smc_image):
     """Invalidation is modeled work: the consistency run costs more
     simulated cycles than a (wrong-output) run without it."""
     with_it = DynamoRIO(
-        Process(smc_image), options=_smc_options("closure")
+        Process(smc_image), options=_smc_options()
     ).run()
     without = DynamoRIO(
         Process(smc_image),
-        options=_smc_options("closure", consistency=False),
+        options=_smc_options(consistency=False),
     ).run()
     assert with_it.cycles > without.cycles
 

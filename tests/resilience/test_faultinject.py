@@ -2,7 +2,7 @@
 
 The fault-injection layer only earns its keep if it is *repeatable*:
 the same ``(kind, seed)`` must misbehave at the same hook invocations
-every run, on both engines, so a chaos failure reproduces from its
+every run, so a chaos failure reproduces from its
 matrix cell alone.
 """
 
