@@ -22,7 +22,7 @@ from repro.core.code_cache import CacheFullError, CodeRegionMap
 from repro.core.emit import emit_fragment
 from repro.core.execute import EXIT_INTERRUPT, Executor
 from repro.core.fragments import Fragment, LinkStub
-from repro.core.options import ENGINES, RuntimeOptions
+from repro.core.options import RuntimeOptions
 from repro.core.stats import RuntimeStats
 from repro.core.threads import ThreadContext
 from repro.core.trace_builder import (
@@ -66,11 +66,10 @@ class DynamoRIO:
         self.process = process
         self.memory = process.memory
         self.options = options if options is not None else RuntimeOptions.default()
-        if self.options.engine not in ENGINES:
-            raise ValueError("unknown engine %r" % (self.options.engine,))
-        if self.options.cache_evict_policy not in ("flush", "fifo"):
+        options = self.options
+        if options.cache_evict_policy not in ("flush", "fifo"):
             raise ValueError(
-                "unknown cache_evict_policy %r" % (self.options.cache_evict_policy,)
+                "unknown cache_evict_policy %r" % (options.cache_evict_policy,)
             )
         for name in (
             "trace_threshold",
@@ -78,12 +77,24 @@ class DynamoRIO:
             "max_bb_instrs",
             "chain_threshold",
             "code_cache_limit",
+            "client_fault_limit",
+            "client_hook_budget",
+            "shield_fault_limit",
+            "shield_watchdog_limit",
         ):
-            value = getattr(self.options, name)
-            if name == "code_cache_limit" and value is None:
+            value = getattr(options, name)
+            if value is None and name in ("code_cache_limit", "client_hook_budget"):
                 continue
             if type(value) is not int or value < 1:
                 raise ValueError("%s must be an int >= 1, not %r" % (name, value))
+        grow = options.cache_grow_factor
+        if type(grow) not in (int, float) or not grow > 1:
+            raise ValueError("cache_grow_factor must be a number > 1, not %r" % (grow,))
+        regen = options.cache_regen_threshold
+        if type(regen) not in (int, float) or not 0 <= regen < 1:
+            raise ValueError(
+                "cache_regen_threshold must be a number in [0, 1), not %r" % (regen,)
+            )
         self.client = client
         self.cost = cost_model if cost_model is not None else CostModel()
         self.system = System()
@@ -107,7 +118,7 @@ class DynamoRIO:
         self.threads = []
         self.current_thread = self._new_thread(lay)
         self.executor = Executor(self)
-        # Always None: no engine stitches fragments into chains.  Its
+        # Always None: nothing stitches fragments into chains.  Its
         # reader is perfbench/suite.py, which reports chain counters.
         self.chains = None
         # drguard: None unless guarding is enabled — every hook site
@@ -891,8 +902,8 @@ class DynamoRIO:
         """
         self._detach_pending = True
         self._reattach_after = reattach_after
-        # Reuse the scheduler's unwind path: every engine (run loop,
-        # dispatcher) already breaks on this flag.
+        # Reuse the scheduler's unwind path: the run loop and the
+        # dispatcher already break on this flag.
         self._need_reschedule = True
 
     @property

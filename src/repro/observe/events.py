@@ -7,15 +7,15 @@ switches, clean calls, ...) is a *typed event*.  When tracing is
 enabled (``RuntimeOptions(trace_events=True)``) the runtime owns an
 :class:`Observer` and every emit site records into its bounded ring
 buffer; when disabled the runtime's ``observer`` attribute is ``None``
-and each emit site is a single ``is not None`` check — the closure
+and each emit site is a single ``is not None`` check — the execution
 engine's per-instruction hot loops carry no emit sites at all (the
 profiler samples at fragment dispatch/exit granularity only), so the
 simulated cycle accounting is identical with tracing on or off.
 
 Event kinds mirror — and refine — the :class:`RuntimeStats` counters:
 each counter's increment site emits a matching event, so the replayed
-event stream reconstructs the counters exactly (a regression test
-asserts this for both execution engines).
+event stream reconstructs the counters exactly (regression tests
+assert this on cold and tier-2 step tables).
 """
 
 from collections import deque, namedtuple

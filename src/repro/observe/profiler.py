@@ -2,7 +2,7 @@
 
 The profiler samples the runtime's cycle counter at *fragment
 boundaries* — dispatch into a fragment, and the exit back to the
-dispatcher — never per instruction, so the execution engines' hot
+dispatcher — never per instruction, so the execution engine's hot
 loops stay untouched.  Between two samples every simulated cycle is
 attributed to the current *attribution target*: the fragment being
 executed, or the ``OVERHEAD`` bucket (dispatch, block building, trace

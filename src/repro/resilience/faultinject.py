@@ -3,7 +3,7 @@
 A :class:`FaultPlan` derives, from ``(kind, seed)``, *which* hook
 invocations misbehave — everything downstream of the seed is pure
 arithmetic, so the same plan produces the same faults at the same
-points on every run and under both execution engines.  A
+points on every run, on cold and tier-2 step tables alike.  A
 :class:`FaultInjectingClient` wraps a real client and plants the
 planned bug:
 
@@ -138,7 +138,7 @@ class RuntimeFaultPlan:
     per-site call counter; for ``errant_write``/``livelock`` it is
     consulted against the successful-build counter.  Chokepoint
     invocation counts are a deterministic property of the dispatcher
-    (identical across the tuple and closure engines), so one plan
+    (identical at every promotion threshold), so one plan
     fires at the same logical points everywhere.
 
     ``livelock`` fires on *every* build past ``start`` — a periodic
